@@ -347,6 +347,8 @@ class Runner:
             raise
         except CqeError as e:
             raise ScriptError(f"{type(e).__name__}: {e}", lineno, cause=e) from e
+        except RecursionError as e:
+            raise ScriptError("input is nested too deeply", lineno, cause=e) from e
         self.steps += 1
 
     # -- individual commands

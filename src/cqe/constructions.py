@@ -39,11 +39,13 @@ from .syntax import (
     epsilon_ty,
     mk_fun,
     str_ty,
+    subterms,
     type_ty,
+    variables_in,
 )
 
-# constructor name -> argument types (as functions of the ambient base types)
-_EPSILON_SIG = (
+# constructor name -> argument kinds; ARG_TYPES gives each kind's type
+EPSILON_SIG = (
     ("QuoVar", ("str", "type")),
     ("QuoConst", ("str", "type")),
     ("App", ("epsilon", "epsilon")),
@@ -51,20 +53,33 @@ _EPSILON_SIG = (
     ("Quo", ("epsilon",)),
 )
 
-_TYPE_SIG = (
+# TYPE_SIG[1 + n] encodes a type constructor of arity n
+TYPE_SIG = (
     ("TyVar", ("str",)),
     ("TyBase", ("str",)),
     ("TyMonoCons", ("str", "type")),
     ("TyBiCons", ("str", "type", "type")),
 )
 
-_ATOM = {"str": str_ty, "type": type_ty, "epsilon": epsilon_ty}
+ARG_TYPES = {"str": str_ty, "type": type_ty, "epsilon": epsilon_ty}
+
+# node class -> the epsilon constructor whose arguments encode its parts
+NODE_CONSTRUCTOR = {
+    Variable: "QuoVar",
+    Constant: "QuoConst",
+    Application: "App",
+    Abstraction: "Abs",
+    Quotation: "Quo",
+}
+_NODE_OF = {name: cls for cls, name in NODE_CONSTRUCTOR.items()}
+_TYPE_PARAMS = dict(TYPE_SIG)
+_PARAMS = dict(EPSILON_SIG + TYPE_SIG)
 
 
-def _sig_type(arg_names, result):
-    ty = result
-    for name in reversed(arg_names):
-        ty = mk_fun(_ATOM[name](), ty)
+def _sig_type(name: str) -> HolType:
+    ty = epsilon_ty() if name in _NODE_OF else type_ty()
+    for kind in reversed(_PARAMS[name]):
+        ty = mk_fun(ARG_TYPES[kind](), ty)
     return ty
 
 
@@ -73,26 +88,18 @@ def install(s) -> None:
     if "str" in s.type_arities:
         raise DuplicateName("type constructor already registered: 'str'")
     s.type_arities["str"] = 0
-    for name, args in _EPSILON_SIG:
+    for name in _PARAMS:
         if name in s.constants:
             raise DuplicateName(f"constant already registered: {name!r}")
-        s.constants[name] = _sig_type(args, epsilon_ty())
-    for name, args in _TYPE_SIG:
-        if name in s.constants:
-            raise DuplicateName(f"constant already registered: {name!r}")
-        s.constants[name] = _sig_type(args, type_ty())
+        s.constants[name] = _sig_type(name)
     s.constants["isExprType"] = mk_fun(epsilon_ty(), mk_fun(type_ty(), bool_ty()))
     s.constants["isFreeIn"] = mk_fun(epsilon_ty(), mk_fun(epsilon_ty(), bool_ty()))
 
 
 def constructor_constant(name: str) -> Constant:
-    for cname, args in _EPSILON_SIG:
-        if cname == name:
-            return Constant(name, _sig_type(args, epsilon_ty()))
-    for cname, args in _TYPE_SIG:
-        if cname == name:
-            return Constant(name, _sig_type(args, type_ty()))
-    raise NotAConstruction(f"not a constructor constant: {name!r}")
+    if name not in _PARAMS:
+        raise NotAConstruction(f"not a constructor constant: {name!r}")
+    return Constant(name, _sig_type(name))
 
 
 def name_literal(text: str) -> Constant:
@@ -105,8 +112,9 @@ def dest_name_literal(t: Term) -> str:
     raise NotAConstruction(f"not a name literal: {t!r}")
 
 
-def _apply(head: Constant, *args: Term) -> Term:
-    t: Term = head
+def apply_terms(head: Term, args) -> Term:
+    """``head a1 ... an``: the inverse of ``strip_application``."""
+    t = head
     for a in args:
         t = Application(t, a)
     return t
@@ -128,28 +136,17 @@ def strip_application(t: Term):
 
 def type_to_construction(ty: HolType) -> Term:
     if isinstance(ty, TypeVariable):
-        return _apply(constructor_constant("TyVar"), name_literal(ty.name))
-    assert isinstance(ty, TypeApplication)
+        return apply_terms(constructor_constant("TyVar"), [name_literal(ty.name)])
     n = len(ty.arguments)
-    if n == 0:
-        return _apply(constructor_constant("TyBase"), name_literal(ty.constructor))
-    if n == 1:
-        return _apply(
-            constructor_constant("TyMonoCons"),
-            name_literal(ty.constructor),
-            type_to_construction(ty.arguments[0]),
+    if n > 2:
+        raise UnsupportedArity(
+            f"type constructor {ty.constructor!r} has arity {n}; "
+            "constructions only encode arities 0-2"
         )
-    if n == 2:
-        return _apply(
-            constructor_constant("TyBiCons"),
-            name_literal(ty.constructor),
-            type_to_construction(ty.arguments[0]),
-            type_to_construction(ty.arguments[1]),
-        )
-    raise UnsupportedArity(
-        f"type constructor {ty.constructor!r} has arity {n}; "
-        "constructions only encode arities 0-2"
-    )
+    args = [name_literal(ty.constructor)]
+    for a in ty.arguments:
+        args.append(type_to_construction(a))
+    return apply_terms(constructor_constant(TYPE_SIG[1 + n][0]), args)
 
 
 def term_to_construction(t: Term) -> Term:
@@ -160,29 +157,7 @@ def term_to_construction(t: Term) -> Term:
         raise ContainsHole(
             "term contains holes; expand_quasiquote handles quotations with holes"
         )
-    return _encode(t)
-
-
-def _encode(t: Term) -> Term:
-    if isinstance(t, Variable):
-        return _apply(
-            constructor_constant("QuoVar"),
-            name_literal(t.name),
-            type_to_construction(t.ty),
-        )
-    if isinstance(t, Constant):
-        return _apply(
-            constructor_constant("QuoConst"),
-            name_literal(t.name),
-            type_to_construction(t.ty),
-        )
-    if isinstance(t, Application):
-        return _apply(constructor_constant("App"), _encode(t.fn), _encode(t.arg))
-    if isinstance(t, Abstraction):
-        return _apply(constructor_constant("Abs"), _encode(t.var), _encode(t.body))
-    if isinstance(t, Quotation):
-        return _apply(constructor_constant("Quo"), _encode(t.body))
-    raise NotEvalFree(f"cannot encode {type(t).__name__}")
+    return _encode(t, False)
 
 
 def expand_quasiquote(q: Quotation) -> Term:
@@ -195,21 +170,24 @@ def expand_quasiquote(q: Quotation) -> Term:
     """
     if not isinstance(q, Quotation):
         raise NotAConstruction("expand_quasiquote expects a Quotation")
-    return _expand(q.body)
+    return _encode(q.body, True)
 
 
-def _expand(b: Term) -> Term:
-    if isinstance(b, Hole):
-        return b.content
-    if isinstance(b, Variable) or isinstance(b, Constant):
-        return _encode(b)
-    if isinstance(b, Application):
-        return _apply(constructor_constant("App"), _expand(b.fn), _expand(b.arg))
-    if isinstance(b, Abstraction):
-        return _apply(constructor_constant("Abs"), _expand(b.var), _expand(b.body))
-    if isinstance(b, Quotation):
-        return _apply(constructor_constant("Quo"), _expand(b.body))
-    raise NotEvalFree(f"cannot expand {type(b).__name__} inside a quotation")
+def _encode(t: Term, splice: bool) -> Term:
+    if splice and isinstance(t, Hole):
+        return t.content
+    name = NODE_CONSTRUCTOR.get(type(t))
+    if name is None:
+        raise NotEvalFree(f"cannot encode {type(t).__name__}")
+    args = []
+    for p in t._parts():
+        if isinstance(p, Term):
+            args.append(_encode(p, splice))
+        elif isinstance(p, HolType):
+            args.append(type_to_construction(p))
+        else:
+            args.append(name_literal(p))
+    return apply_terms(constructor_constant(name), args)
 
 
 # ---------------------------------------------------------------------------
@@ -219,48 +197,36 @@ def _expand(b: Term) -> Term:
 
 def _is_constructor_normal(t: Term) -> bool:
     head, args = strip_application(t)
-    if not isinstance(head, Constant):
+    params = _PARAMS.get(head.name) if isinstance(head, Constant) else None
+    if params is None or len(args) != len(params):
         return False
-    for group in (_EPSILON_SIG, _TYPE_SIG):
-        for name, params in group:
-            if head.name == name:
-                return len(args) == len(params) and all(
-                    _arg_normal(p, a) for p, a in zip(params, args)
-                )
-    return False
-
-
-def _arg_normal(param: str, a: Term) -> bool:
-    if param == "str":
-        return isinstance(a, Constant) and a.name.startswith('"')
-    return _is_constructor_normal(a)
+    for p, a in zip(params, args):
+        if p == "str":
+            if not (isinstance(a, Constant) and a.name.startswith('"')):
+                return False
+        elif not _is_constructor_normal(a):
+            return False
+    return True
 
 
 def type_from_construction(c: Term) -> HolType:
     head, args = strip_application(c)
-    if not isinstance(head, Constant):
+    if not (isinstance(head, Constant) and head.name in _TYPE_PARAMS):
         raise NotAConstruction(f"not a type construction: {c!r}")
+    if len(args) < len(_TYPE_PARAMS[head.name]):
+        raise NotAConstruction(f"underapplied type constructor: {c!r}")
     try:
+        name = dest_name_literal(args[0])
         if head.name == "TyVar":
-            return TypeVariable(dest_name_literal(args[0]))
-        if head.name == "TyBase":
-            return TypeApplication(dest_name_literal(args[0]), ())
-        if head.name == "TyMonoCons":
-            return TypeApplication(
-                dest_name_literal(args[0]), (type_from_construction(args[1]),)
-            )
-        if head.name == "TyBiCons":
-            return TypeApplication(
-                dest_name_literal(args[0]),
-                (type_from_construction(args[1]), type_from_construction(args[2])),
-            )
+            return TypeVariable(name)
+        tys = []
+        for a in args[1:]:
+            tys.append(type_from_construction(a))
+        return TypeApplication(name, tuple(tys))
     except Improper:
         raise
     except KernelError as e:
         raise Improper(f"type construction denotes no type: {e}") from e
-    except IndexError:
-        raise NotAConstruction(f"underapplied type constructor: {c!r}") from None
-    raise NotAConstruction(f"not a type construction: {c!r}")
 
 
 def construction_to_term(c: Term) -> Term:
@@ -278,36 +244,31 @@ def construction_to_term(c: Term) -> Term:
 
 def _decode(c: Term) -> Term:
     head, args = strip_application(c)
-    name = head.name
+    cls = _NODE_OF.get(head.name)
+    if cls is None:
+        raise NotAConstruction(f"not a construction: {c!r}")
     try:
-        if name == "QuoVar":
-            return Variable(dest_name_literal(args[0]), type_from_construction(args[1]))
-        if name == "QuoConst":
-            return Constant(dest_name_literal(args[0]), type_from_construction(args[1]))
-        if name == "App":
-            return Application(_decode(args[0]), _decode(args[1]))
-        if name == "Abs":
-            v = _decode(args[0])
-            if not isinstance(v, Variable):
-                raise Improper("abstraction construction binds a non-variable")
-            return Abstraction(v, _decode(args[1]))
-        if name == "Quo":
-            return Quotation(_decode(args[0]))
+        parts = []
+        for kind, a in zip(_PARAMS[head.name], args):
+            if kind == "str":
+                parts.append(dest_name_literal(a))
+            elif kind == "type":
+                parts.append(type_from_construction(a))
+            else:
+                parts.append(_decode(a))
+        return cls(*parts)
     except Improper:
         raise
     except KernelError as e:
         raise Improper(f"construction denotes no term: {e}") from e
-    raise NotAConstruction(f"not a construction: {c!r}")
 
 
 def is_proper(c: Term) -> bool:
-    if not _is_constructor_normal(c):
-        raise NotAConstruction(f"not in constructor form: {c!r}")
     try:
-        _decode(c)
-        return True
+        construction_to_term(c)
     except Improper:
         return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -348,40 +309,19 @@ def is_free_in_meta(xc: Term, bc: Term) -> bool:
         b = construction_to_term(bc)
     except (Improper, NotAConstruction):
         return False
-    return _free_live(v, b) or _occurs_quoted(v, b)
+    return _occurs(v, b, True)
 
 
-def _free_live(v: Variable, t: Term) -> bool:
+def _occurs(v: Variable, t: Term, live: bool) -> bool:
+    # ``live`` is false under a live binder of v.  Inside a quotation every
+    # occurrence counts, binder positions included.
+    if isinstance(t, Quotation):
+        return v in variables_in(t)
     if isinstance(t, Variable):
-        return t == v
-    if isinstance(t, Constant):
-        return False
-    if isinstance(t, Application):
-        return _free_live(v, t.fn) or _free_live(v, t.arg)
-    if isinstance(t, Abstraction):
-        return t.var != v and _free_live(v, t.body)
-    if isinstance(t, Quotation):
-        return False
-    return False
-
-
-def _occurs_quoted(v: Variable, t: Term) -> bool:
-    if isinstance(t, Application):
-        return _occurs_quoted(v, t.fn) or _occurs_quoted(v, t.arg)
-    if isinstance(t, Abstraction):
-        return _occurs_quoted(v, t.body)
-    if isinstance(t, Quotation):
-        return _occurs_anywhere(v, t.body)
-    return False
-
-
-def _occurs_anywhere(v: Variable, t: Term) -> bool:
-    if isinstance(t, Variable):
-        return t == v
-    if isinstance(t, Application):
-        return _occurs_anywhere(v, t.fn) or _occurs_anywhere(v, t.arg)
-    if isinstance(t, Abstraction):
-        return t.var == v or _occurs_anywhere(v, t.body)
-    if isinstance(t, Quotation):
-        return _occurs_anywhere(v, t.body)
+        return live and t == v
+    if isinstance(t, Abstraction) and t.var == v:
+        live = False
+    for s in subterms(t):
+        if _occurs(v, s, live):
+            return True
     return False

@@ -51,7 +51,6 @@ from .syntax import (
     TypeVariable,
     Variable,
     _is_name_literal,
-    epsilon_ty,
     mk_fun,
     num_ty,
     str_ty,
@@ -882,54 +881,48 @@ def tree_to_type(tree) -> HolType:
     raise ParseError(f"malformed type tree: {tree!r}")
 
 
+# tree tag -> node class and the kind of each field, in ``_parts()`` order
+_TREE_NODES = {
+    "var": (Variable, (str, HolType)),
+    "const": (Constant, (str, HolType)),
+    "app": (Application, (Term, Term)),
+    "abs": (Abstraction, (Variable, Term)),
+    "quote": (Quotation, (Term,)),
+    "hole": (Hole, (Term, HolType)),
+    "eval": (Evaluation, (Term, HolType)),
+}
+_TREE_TAG = {cls: tag for tag, (cls, _) in _TREE_NODES.items()}
+
+
 def term_to_tree(t: Term):
-    if isinstance(t, Variable):
-        return ("var", t.name, type_to_tree(t.ty))
-    if isinstance(t, Constant):
-        return ("const", t.name, type_to_tree(t.ty))
-    if isinstance(t, Application):
-        return ("app", term_to_tree(t.fn), term_to_tree(t.arg))
-    if isinstance(t, Abstraction):
-        return ("abs", term_to_tree(t.var), term_to_tree(t.body))
-    if isinstance(t, Quotation):
-        return ("quote", term_to_tree(t.body))
-    if isinstance(t, Hole):
-        return ("hole", term_to_tree(t.content), type_to_tree(t.slot_type))
-    if isinstance(t, Evaluation):
-        return ("eval", term_to_tree(t.content), type_to_tree(t.result_type))
-    raise AssertionError(f"unhandled term {t!r}")
+    out = [_TREE_TAG[type(t)]]
+    for p in t._parts():
+        if isinstance(p, Term):
+            out.append(term_to_tree(p))
+        elif isinstance(p, HolType):
+            out.append(type_to_tree(p))
+        else:
+            out.append(p)
+    return tuple(out)
 
 
 def tree_to_term(tree) -> Term:
     try:
-        tag = tree[0]
-        if tag == "var":
-            (_, name, ty) = tree
-            return Variable(name, tree_to_type(ty))
-        if tag == "const":
-            (_, name, ty) = tree
-            return Constant(name, tree_to_type(ty))
-        if tag == "app":
-            (_, f, a) = tree
-            return Application(tree_to_term(f), tree_to_term(a))
-        if tag == "abs":
-            (_, v, b) = tree
-            var = tree_to_term(v)
-            if not isinstance(var, Variable):
-                raise ParseError("abstraction binder must be a variable")
-            return Abstraction(var, tree_to_term(b))
-        if tag == "quote":
-            (_, b) = tree
-            return Quotation(tree_to_term(b))
-        if tag == "hole":
-            (_, c, ty) = tree
-            return Hole(tree_to_term(c), tree_to_type(ty))
-        if tag == "eval":
-            (_, c, ty) = tree
-            return Evaluation(tree_to_term(c), tree_to_type(ty))
-    except (ValueError, TypeError, IndexError):
-        pass
-    raise ParseError(f"malformed term tree: {tree!r}")
+        cls, kinds = _TREE_NODES[tree[0]]
+        parts = []
+        for kind, sub in zip(kinds, tree[1:], strict=True):
+            if kind is HolType:
+                parts.append(tree_to_type(sub))
+            elif kind is str:
+                parts.append(sub)
+            else:
+                part = tree_to_term(sub)
+                if not isinstance(part, kind):
+                    raise ParseError(f"{tree[0]} tree: expected a {kind.__name__}")
+                parts.append(part)
+        return cls(*parts)
+    except (ValueError, TypeError, IndexError, KeyError):
+        raise ParseError(f"malformed term tree: {tree!r}") from None
 
 
 def tree_to_sexp(tree) -> str:

@@ -22,7 +22,13 @@ equation can be discharged by inference later.
 from __future__ import annotations
 
 from . import session
-from .constructions import constructor_constant, term_to_construction, type_to_construction
+from .constructions import (
+    NODE_CONSTRUCTOR,
+    apply_terms,
+    constructor_constant,
+    term_to_construction,
+    type_to_construction,
+)
 from .errors import (
     ContainsHole,
     DuplicateName,
@@ -50,7 +56,6 @@ from .syntax import (
     Hole,
     Quotation,
     Term,
-    TypeApplication,
     TypeVariable,
     Variable,
     _frees,
@@ -58,8 +63,11 @@ from .syntax import (
     bool_ty,
     epsilon_ty,
     fresh_variant,
+    map_parts,
     mk_fun,
     subst_type,
+    subterms,
+    type_ty,
     type_variables_in,
     type_variables_in_term,
     variables_in,
@@ -241,8 +249,6 @@ def dest_exists(t):
 
 
 def mk_is_expr_type(c: Term, ty: HolType) -> Term:
-    from .syntax import type_ty
-
     k = Constant("isExprType", mk_fun(epsilon_ty(), mk_fun(type_ty(), bool_ty())))
     return Application(Application(k, c), type_to_construction(ty))
 
@@ -350,19 +356,8 @@ def _vsubst_quoted(b: Term, theta: dict, registry, used) -> Term:
     # nothing in the live hole contents, so the substitution passes through
     # them untouched and capture is impossible.
     if isinstance(b, Hole):
-        c = _vsubst(b.content, theta, registry, used)
-        return b if c is b.content else Hole(c, b.slot_type)
-    if isinstance(b, Application):
-        fn = _vsubst_quoted(b.fn, theta, registry, used)
-        arg = _vsubst_quoted(b.arg, theta, registry, used)
-        return b if fn is b.fn and arg is b.arg else Application(fn, arg)
-    if isinstance(b, Abstraction):
-        body = _vsubst_quoted(b.body, theta, registry, used)
-        return b if body is b.body else Abstraction(b.var, body)
-    if isinstance(b, Quotation):
-        body = _vsubst_quoted(b.body, theta, registry, used)
-        return b if body is b.body else Quotation(body)
-    return b
+        return _vsubst(b, theta, registry, used)
+    return map_parts(b, _vsubst_quoted, None, theta, registry, used)
 
 
 def _vsubst_abs(t: Abstraction, theta: dict, registry, used) -> Term:
@@ -477,16 +472,6 @@ def inst_type(pairs, t: Term) -> Term:
 
 
 def _inst_type(t: Term, env: dict) -> Term:
-    if isinstance(t, Variable):
-        ty = subst_type(t.ty, env)
-        return t if ty == t.ty else Variable(t.name, ty)
-    if isinstance(t, Constant):
-        ty = subst_type(t.ty, env)
-        return t if ty == t.ty else Constant(t.name, ty)
-    if isinstance(t, Application):
-        fn = _inst_type(t.fn, env)
-        arg = _inst_type(t.arg, env)
-        return t if fn is t.fn and arg is t.arg else Application(fn, arg)
     if isinstance(t, Abstraction):
         y = t.var
         y2 = _inst_type(y, env)
@@ -515,15 +500,7 @@ def _inst_type(t: Term, env: dict) -> Term:
                 f"type instantiation of {names} would alter a quotation"
             )
         return t
-    if isinstance(t, Hole):
-        c = _inst_type(t.content, env)
-        ty = subst_type(t.slot_type, env)
-        return t if c is t.content and ty == t.slot_type else Hole(c, ty)
-    if isinstance(t, Evaluation):
-        c = _inst_type(t.content, env)
-        ty = subst_type(t.result_type, env)
-        return t if c is t.content and ty == t.result_type else Evaluation(c, ty)
-    raise KernelError(f"not a term: {t!r}")
+    return map_parts(t, _inst_type, subst_type, env)
 
 
 # ---------------------------------------------------------------------------
@@ -659,20 +636,11 @@ def QUO_STEP(q: Term) -> Theorem:
     """Unfold one layer of a quotation into syntax constructors."""
     q = _want_quotation(q)
     b = q.body
-    if isinstance(b, Application):
-        rhs = Application(
-            Application(constructor_constant("App"), Quotation(b.fn)),
-            Quotation(b.arg),
-        )
-    elif isinstance(b, Abstraction):
-        rhs = Application(
-            Application(constructor_constant("Abs"), Quotation(b.var)),
-            Quotation(b.body),
-        )
-    elif isinstance(b, Quotation):
-        rhs = Application(constructor_constant("Quo"), Quotation(b.body))
-    else:
+    if isinstance(b, (Variable, Constant)):
         rhs = term_to_construction(b)
+    else:
+        quoted = [Quotation(s) for s in subterms(b)]
+        rhs = apply_terms(constructor_constant(NODE_CONSTRUCTOR[type(b)]), quoted)
     return _thm((), mk_eq(q, rhs))
 
 

@@ -21,8 +21,15 @@ from itertools import combinations
 
 from . import session
 from .constructions import (
+    ARG_TYPES,
+    EPSILON_SIG,
+    TYPE_SIG,
+    apply_terms,
     construction_to_term,
+    constructor_constant,
     expand_quasiquote,
+    is_expr_type_meta,
+    is_free_in_meta,
     strip_application,
     term_to_construction,
 )
@@ -52,12 +59,11 @@ from .kernel import (
     dest_conj,
     dest_disj,
     dest_eq,
-    dest_forall,
     dest_imp,
+    dest_neg,
     mk_conj,
     mk_disj,
     mk_eq,
-    mk_exists,
     mk_forall,
     mk_imp,
     mk_is_expr_type,
@@ -84,7 +90,6 @@ from .syntax import (
     epsilon_ty,
     mk_fun,
     num_ty,
-    str_ty,
     type_ty,
 )
 
@@ -286,8 +291,6 @@ def NOT_INTRO(th: Theorem) -> Theorem:
 
 
 def NOT_ELIM(th: Theorem) -> Theorem:
-    from .kernel import dest_neg
-
     a = dest_neg(th.concl)
     eq = INST(((_pvar(_P), a),), _basis("not_eq"))
     return EQ_MP(eq, th)
@@ -463,23 +466,7 @@ def bootstrap_logic(s) -> None:
 # datatype facts for the syntax types
 # ---------------------------------------------------------------------------
 
-_EPS_CONS = (
-    ("QuoVar", ("str", "type")),
-    ("QuoConst", ("str", "type")),
-    ("App", ("epsilon", "epsilon")),
-    ("Abs", ("epsilon", "epsilon")),
-    ("Quo", ("epsilon",)),
-)
-
-_TY_CONS = (
-    ("TyVar", ("str",)),
-    ("TyBase", ("str",)),
-    ("TyMonoCons", ("str", "type")),
-    ("TyBiCons", ("str", "type", "type")),
-)
-
 _ARG_BASE = {"str": "s", "type": "t", "epsilon": "a"}
-_ARG_TY = {"str": str_ty, "type": type_ty, "epsilon": epsilon_ty}
 
 
 def _con_args(sig, suffix: str):
@@ -489,17 +476,8 @@ def _con_args(sig, suffix: str):
         n = counts.get(kind, 0)
         counts[kind] = n + 1
         name = _ARG_BASE[kind] + (str(n) if n else "") + suffix
-        out.append(Variable(name, _ARG_TY[kind]()))
+        out.append(Variable(name, ARG_TYPES[kind]()))
     return out
-
-
-def _con_term(name, args):
-    from .constructions import constructor_constant
-
-    t: Term = constructor_constant(name)
-    for a in args:
-        t = Application(t, a)
-    return t
 
 
 def _forall_many(vs, body):
@@ -520,8 +498,9 @@ def _distinctness(cons) -> Term:
     for (n1, s1), (n2, s2) in combinations(cons, 2):
         a1 = _con_args(s1, "")
         a2 = _con_args(s2, "'")
-        body = mk_neg(mk_eq(_con_term(n1, a1), _con_term(n2, a2)))
-        stmts.append(_forall_many(a1 + a2, body))
+        l = apply_terms(constructor_constant(n1), a1)
+        r = apply_terms(constructor_constant(n2), a2)
+        stmts.append(_forall_many(a1 + a2, mk_neg(mk_eq(l, r))))
     return _conj_many(stmts)
 
 
@@ -531,24 +510,25 @@ def _injectivity(cons) -> Term:
         a1 = _con_args(sig, "")
         a2 = _con_args(sig, "'")
         eqs = _conj_many([mk_eq(u, v) for u, v in zip(a1, a2)])
-        body = mk_imp(mk_eq(_con_term(name, a1), _con_term(name, a2)), eqs)
+        con = constructor_constant(name)
+        body = mk_imp(mk_eq(apply_terms(con, a1), apply_terms(con, a2)), eqs)
         stmts.append(_forall_many(a1 + a2, body))
     return _conj_many(stmts)
 
 
-def _induction(cons, carrier, carrier_name: str) -> Term:
-    P = Variable("P", mk_fun(carrier(), bool_ty()))
+def _induction(cons, carrier: str) -> Term:
+    P = Variable("P", mk_fun(ARG_TYPES[carrier](), bool_ty()))
     clauses = []
     for name, sig in cons:
         args = _con_args(sig, "")
-        rec = [a for a, kind in zip(args, sig) if kind == carrier_name]
-        concl = Application(P, _con_term(name, args))
+        rec = [a for a, kind in zip(args, sig) if kind == carrier]
+        concl = Application(P, apply_terms(constructor_constant(name), args))
         if rec:
             ante = _conj_many([Application(P, a) for a in rec])
             clauses.append(_forall_many(args, mk_imp(ante, concl)))
         else:
             clauses.append(_forall_many(args, concl))
-    e = Variable("e", carrier())
+    e = Variable("e", ARG_TYPES[carrier]())
     return mk_forall(
         P, mk_imp(_conj_many(clauses), mk_forall(e, Application(P, e)))
     )
@@ -556,12 +536,12 @@ def _induction(cons, carrier, carrier_name: str) -> Term:
 
 def install_datatype_facts(s) -> None:
     facts = {
-        "epsilon_distinct": _distinctness(_EPS_CONS),
-        "epsilon_injective": _injectivity(_EPS_CONS),
-        "epsilon_induction": _induction(_EPS_CONS, epsilon_ty, "epsilon"),
-        "type_distinct": _distinctness(_TY_CONS),
-        "type_injective": _injectivity(_TY_CONS),
-        "type_induction": _induction(_TY_CONS, type_ty, "type"),
+        "epsilon_distinct": _distinctness(EPSILON_SIG),
+        "epsilon_injective": _injectivity(EPSILON_SIG),
+        "epsilon_induction": _induction(EPSILON_SIG, "epsilon"),
+        "type_distinct": _distinctness(TYPE_SIG),
+        "type_injective": _injectivity(TYPE_SIG),
+        "type_induction": _induction(TYPE_SIG, "type"),
     }
     for name, stmt in facts.items():
         s.theorems[name] = new_axiom(name, stmt)
@@ -618,18 +598,12 @@ def arithmetic_base(s) -> Theorem:
 # ---------------------------------------------------------------------------
 
 
-def _apply_terms(t: Term, args) -> Term:
-    for a in args:
-        t = Application(t, a)
-    return t
-
-
 def _whnf(t: Term) -> Term:
     while isinstance(t, Application):
         head, args = strip_application(t)
         if isinstance(head, Abstraction) and args:
             reduced = vsubst(((head.var, args[0]),), head.body)
-            t = _apply_terms(reduced, args[1:])
+            t = apply_terms(reduced, args[1:])
         else:
             break
     return t
@@ -652,7 +626,7 @@ def _value_norm(t: Term) -> Term:
     if isinstance(t, Application):
         head, args = strip_application(t)
         if isinstance(head, Constant):
-            return _apply_terms(head, [_value_norm(a) for a in args])
+            return apply_terms(head, [_value_norm(a) for a in args])
         raise NotAConstruction(
             f"irreducible non-constructor head: {type(head).__name__}"
         )
@@ -677,27 +651,16 @@ def _conv_input(t: Term, role: str, expected=None) -> None:
 
 def IS_EXPR_TYPE_CONV(c: Term, tyc: Term) -> Theorem:
     """Decide whether a closed construction denotes a term of a stated type."""
-    from .constructions import is_expr_type_meta
-
     _conv_input(c, "the construction argument", epsilon_ty())
     _conv_input(tyc, "the type-construction argument", type_ty())
     verdict = is_expr_type_meta(_value_norm(c), _value_norm(tyc))
-    stmt = Application(
-        Application(
-            Constant(
-                "isExprType", mk_fun(epsilon_ty(), mk_fun(type_ty(), bool_ty()))
-            ),
-            c,
-        ),
-        tyc,
-    )
+    head = Constant("isExprType", mk_fun(epsilon_ty(), mk_fun(type_ty(), bool_ty())))
+    stmt = apply_terms(head, [c, tyc])
     return trusted_theorem(stmt if verdict else mk_neg(stmt), "IS_EXPR_TYPE_CONV")
 
 
 def IS_FREE_IN_CONV(xc: Term, bc: Term) -> Theorem:
     """Decide whether a quoted variable is free in a quoted expression."""
-    from .constructions import is_free_in_meta
-
     _conv_input(xc, "the variable construction", epsilon_ty())
     _conv_input(bc, "the expression construction", epsilon_ty())
     verdict = is_free_in_meta(_value_norm(xc), _value_norm(bc))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 
 from cqe.constructions import (
+    apply_terms,
     constructor_constant,
     name_literal,
     type_to_construction,
@@ -46,13 +47,6 @@ from cqe.syntax import (
 )
 
 _BASES = (bool_ty, num_ty, ind_ty, epsilon_ty)
-
-
-def _app(head, *args):
-    t = head
-    for a in args:
-        t = Application(t, a)
-    return t
 
 
 class TermGen:
@@ -153,26 +147,26 @@ class TermGen:
                 return Quotation(body)
             return Quotation(self.eval_free(self.type(1), depth - 1))
         if kind == 1:
-            return _app(
+            return apply_terms(
                 constructor_constant("QuoVar"),
-                name_literal(self.rng.choice("abc")),
-                type_to_construction(self.type(1)),
+                [name_literal(self.rng.choice("abc")), type_to_construction(self.type(1))],
             )
         if kind == 2:
-            return _app(
+            return apply_terms(
                 constructor_constant("QuoConst"),
-                name_literal(self.rng.choice(("T", "F", "SUC"))),
-                type_to_construction(self.type(1)),
+                [
+                    name_literal(self.rng.choice(("T", "F", "SUC"))),
+                    type_to_construction(self.type(1)),
+                ],
             )
         if kind == 3:
-            return _app(
+            return apply_terms(
                 constructor_constant("App"),
-                self.term(epsilon_ty(), depth - 1),
-                self.term(epsilon_ty(), depth - 1),
+                [self.term(epsilon_ty(), depth - 1), self.term(epsilon_ty(), depth - 1)],
             )
         if kind == 4:
-            return _app(
-                constructor_constant("Quo"), self.term(epsilon_ty(), depth - 1)
+            return apply_terms(
+                constructor_constant("Quo"), [self.term(epsilon_ty(), depth - 1)]
             )
         return self._leaf(epsilon_ty())
 

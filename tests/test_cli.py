@@ -98,6 +98,22 @@ def test_parse_error_reports_line(tmp_path, capsys):
     assert ":1:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "term",
+    [
+        " /\\ ".join(["(v0:num = v0)"] * 1000),
+        "(" * 1500 + "T" + ")" * 1500,
+    ],
+    ids=["1000-conjuncts", "1500-parentheses"],
+)
+def test_too_deep_input_is_a_typed_error(tmp_path, capsys, term):
+    path = write(tmp_path, f"thm r := (REFL `{term}`)\n")
+    assert main(["check", path]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}:1: error:" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_rule_rejected(tmp_path, capsys):
     path = write(tmp_path, "thm r := (FROBNICATE `T`)\n")
     assert main(["check", path]) == 1

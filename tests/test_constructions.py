@@ -260,3 +260,10 @@ def test_is_free_in_meta_quoted_binders_do_not_hide():
     y = Variable("y", bool_ty())
     rep2 = oracle_term(Abstraction(y, x))
     assert is_free_in_meta(oracle_term(x), rep2)
+
+
+def test_is_free_in_meta_counts_quoted_occurrences_under_a_live_binder():
+    # \x. Q_ x _Q: the live binder does not hide the quoted occurrence
+    x = Variable("x", bool_ty())
+    rep = oracle_term(Abstraction(x, Quotation(x)))
+    assert is_free_in_meta(oracle_term(x), rep)

@@ -271,6 +271,25 @@ def test_term_tree_round_trip_generated():
         assert tree_to_term(term_to_tree(t)) == t
 
 
+@pytest.mark.parametrize(
+    "tree",
+    [
+        ("lambda", ("var", "x", ("tycon", "bool", ()))),
+        ("var", "x"),
+        ("quote", ("const", "T", ("tycon", "bool", ())), ("tycon", "bool", ())),
+        (
+            "abs",
+            ("const", "T", ("tycon", "bool", ())),
+            ("const", "T", ("tycon", "bool", ())),
+        ),
+    ],
+    ids=["unknown-tag", "too-few-fields", "too-many-fields", "const-binder"],
+)
+def test_tree_to_term_rejects_malformed_trees(tree):
+    with pytest.raises(ParseError):
+        tree_to_term(tree)
+
+
 def test_sexp_round_trip():
     gen = TermGen(23, evals=True, holes=True)
     for t in distinct_terms(gen, 150):

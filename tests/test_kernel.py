@@ -284,6 +284,14 @@ def test_inst_type_basic():
     assert out == Abstraction(xn, xn)
 
 
+def test_inst_type_returns_a_term_without_type_variables_unchanged():
+    a = TypeVariable("'A")
+    x = Variable("x", num_ty())
+    q = Quotation(Hole(ev("c"), bool_ty()))
+    t = Abstraction(x, mk_conj(mk_eq(x, x), mk_eq(Evaluation(q, bool_ty()), T)))
+    assert inst_type([(a, num_ty())], t) is t
+
+
 def test_inst_type_never_rewrites_quotations():
     a = TypeVariable("'A")
     q = Quotation(T)

@@ -12,7 +12,7 @@ from cqe.errors import (
     NotEvalFree,
     WrongShape,
 )
-from cqe.frontend import parse_term
+from cqe.frontend import parse_term, print_term
 from cqe.kernel import (
     ASSUME,
     INST,
@@ -127,6 +127,70 @@ def test_datatype_facts_are_axiomatic_and_shaped():
     ):
         assert name in facts
         assert theorem(name).axioms == {name}
+
+
+# The six datatype axioms as printed when the constructor table was first
+# shared between constructions and logic; regenerating them must not change
+# a single axiom.
+FROZEN_DATATYPE_AXIOMS = {
+    "epsilon_distinct": (
+        "(!s:str. !t:type. !s':str. !t':type. ~QuoVar s t = QuoConst s' t') /\\ "
+        "(!s:str. !t:type. !a':epsilon. !a1':epsilon. ~QuoVar s t = App a' a1') /\\ "
+        "(!s:str. !t:type. !a':epsilon. !a1':epsilon. ~QuoVar s t = Abs a' a1') /\\ "
+        "(!s:str. !t:type. !a':epsilon. ~QuoVar s t = Quo a') /\\ "
+        "(!s:str. !t:type. !a':epsilon. !a1':epsilon. ~QuoConst s t = App a' a1') /\\ "
+        "(!s:str. !t:type. !a':epsilon. !a1':epsilon. ~QuoConst s t = Abs a' a1') /\\ "
+        "(!s:str. !t:type. !a':epsilon. ~QuoConst s t = Quo a') /\\ "
+        "(!a:epsilon. !a1:epsilon. !a':epsilon. !a1':epsilon. ~App a a1 = Abs a' a1') /\\ "
+        "(!a:epsilon. !a1:epsilon. !a':epsilon. ~App a a1 = Quo a') /\\ "
+        "(!a:epsilon. !a1:epsilon. !a':epsilon. ~Abs a a1 = Quo a')"
+    ),
+    "epsilon_injective": (
+        "(!s:str. !t:type. !s':str. !t':type. "
+        "QuoVar s t = QuoVar s' t' ==> s = s' /\\ t = t') /\\ "
+        "(!s:str. !t:type. !s':str. !t':type. "
+        "QuoConst s t = QuoConst s' t' ==> s = s' /\\ t = t') /\\ "
+        "(!a:epsilon. !a1:epsilon. !a':epsilon. !a1':epsilon. "
+        "App a a1 = App a' a1' ==> a = a' /\\ a1 = a1') /\\ "
+        "(!a:epsilon. !a1:epsilon. !a':epsilon. !a1':epsilon. "
+        "Abs a a1 = Abs a' a1' ==> a = a' /\\ a1 = a1') /\\ "
+        "(!a:epsilon. !a':epsilon. Quo a = Quo a' ==> a = a')"
+    ),
+    "epsilon_induction": (
+        "!P:(epsilon->bool). (!s:str. !t:type. P (QuoVar s t)) /\\ "
+        "(!s:str. !t:type. P (QuoConst s t)) /\\ "
+        "(!a:epsilon. !a1:epsilon. P a /\\ P a1 ==> P (App a a1)) /\\ "
+        "(!a:epsilon. !a1:epsilon. P a /\\ P a1 ==> P (Abs a a1)) /\\ "
+        "(!a:epsilon. P a ==> P (Quo a)) ==> (!e:epsilon. P e)"
+    ),
+    "type_distinct": (
+        "(!s:str. !s':str. ~TyVar s = TyBase s') /\\ "
+        "(!s:str. !s':str. !t':type. ~TyVar s = TyMonoCons s' t') /\\ "
+        "(!s:str. !s':str. !t':type. !t1':type. ~TyVar s = TyBiCons s' t' t1') /\\ "
+        "(!s:str. !s':str. !t':type. ~TyBase s = TyMonoCons s' t') /\\ "
+        "(!s:str. !s':str. !t':type. !t1':type. ~TyBase s = TyBiCons s' t' t1') /\\ "
+        "(!s:str. !t:type. !s':str. !t':type. !t1':type. ~TyMonoCons s t = TyBiCons s' t' t1')"
+    ),
+    "type_injective": (
+        "(!s:str. !s':str. TyVar s = TyVar s' ==> s = s') /\\ "
+        "(!s:str. !s':str. TyBase s = TyBase s' ==> s = s') /\\ "
+        "(!s:str. !t:type. !s':str. !t':type. "
+        "TyMonoCons s t = TyMonoCons s' t' ==> s = s' /\\ t = t') /\\ "
+        "(!s:str. !t:type. !t1:type. !s':str. !t':type. !t1':type. "
+        "TyBiCons s t t1 = TyBiCons s' t' t1' ==> s = s' /\\ t = t' /\\ t1 = t1')"
+    ),
+    "type_induction": (
+        "!P:(type->bool). (!s:str. P (TyVar s)) /\\ (!s:str. P (TyBase s)) /\\ "
+        "(!s:str. !t:type. P t ==> P (TyMonoCons s t)) /\\ "
+        "(!s:str. !t:type. !t1:type. P t /\\ P t1 ==> P (TyBiCons s t t1)) "
+        "==> (!e:type. P e)"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_DATATYPE_AXIOMS))
+def test_datatype_axioms_match_frozen_text(name):
+    assert print_term(theorem(name).concl) == FROZEN_DATATYPE_AXIOMS[name]
 
 
 def _count_conjuncts(t):
