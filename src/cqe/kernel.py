@@ -312,11 +312,11 @@ def vsubst(pairs, t: Term, registry=None, used=None) -> Term:
             )
         if tm.has_naked_hole:
             raise ContainsHole("cannot substitute a term with a hole outside quotations")
-        if tm == x:
-            continue
         if x in theta and theta[x] != tm:
             raise KernelError(f"conflicting substitutions for {x.name}")
         theta[x] = tm
+    # identity pairs are dropped only after every pair was checked for conflicts
+    theta = {x: tm for x, tm in theta.items() if tm != x}
     if not theta:
         return t
     if registry is None:
@@ -464,8 +464,10 @@ def inst_type(pairs, t: Term) -> Term:
             raise TypeMismatch(f"not a type variable: {tv!r}")
         if not isinstance(ty, HolType):
             raise TypeMismatch(f"not a type: {ty!r}")
-        if ty != tv:
-            env[tv] = ty
+        if tv in env and env[tv] != ty:
+            raise KernelError(f"conflicting instantiations for {tv!r}")
+        env[tv] = ty
+    env = {tv: ty for tv, ty in env.items() if ty != tv}
     if not env:
         return t
     return _inst_type(t, env)

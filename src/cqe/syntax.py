@@ -20,14 +20,26 @@ computed once at construction and cached on the node.
 Walkers reach a node's parts through ``_parts()``, via ``subterms`` and
 ``map_parts``, rather than dispatching on its kind.  Only the hot walkers
 ``_frees``, ``_alpha`` and the kernel's ``_vsubst`` keep hand-written
-dispatch: under cProfile they take 18%, 42% and 24% of the ``binder_chain``
-benchmark, while every other walker's cost is the node formation it does.
+dispatch, and the first two avoid re-walking structure they have seen:
+
+* ``_frees`` keeps each compound node's free-variable set on the node
+  (``_fv``, filled on first use), so substitution under n binders no longer
+  recomputes the body's set at every binder.
+* ``_alpha`` threads the invariant "``env_s is env_t`` exactly while every
+  binder pair so far was the same variable" (the root's ``()`` qualifies).
+  Under it, ``s is t`` proves alpha-equivalence at once; the derived rules
+  hit this constantly, since ``EQ_MP`` compares terms built from one shared
+  subterm.  The shortcut is identity only: a structural ``s == t`` would
+  walk both trees through ``Term.__eq__``, which spends more Python stack
+  per level than ``_alpha`` and so lowers the nesting depth a script may
+  reach.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import session
 from .errors import (
     HoleOutsideQuotation,
     IllTyped,
@@ -63,8 +75,6 @@ class TypeApplication(HolType):
     def __post_init__(self):
         if not isinstance(self.arguments, tuple):
             object.__setattr__(self, "arguments", tuple(self.arguments))
-        from . import session
-
         table = session.arity_table()
         if table is not None:
             arity = table.get(self.constructor)
@@ -181,6 +191,8 @@ class Term:
     #   has_hole         -- some Hole occurs anywhere
     #   has_naked_hole   -- some Hole occurs outside any Quotation
     #   _hash            -- structural hash
+    # and one set by _frees on first use, on every node but a leaf:
+    #   _fv              -- the syntactic free-variable set
 
     def _parts(self) -> tuple:
         raise NotImplementedError
@@ -249,8 +261,6 @@ class Constant(Term):
             if self.ty != str_ty():
                 raise IllTyped(f"name literal {self.name} must have type str")
         else:
-            from . import session
-
             generic = session.current().constants.get(self.name)
             if generic is None:
                 raise UnknownName(f"unknown constant: {self.name!r}")
@@ -416,30 +426,51 @@ def _quoted_live_frees(body: Term) -> frozenset:
     return out
 
 
+_NO_FREES = frozenset()
+
+
 def _frees(t: Term) -> frozenset:
     """Syntactic free-variable set, defined for every term.
 
     For an Evaluation node this is the free variables of the content term;
     note that for non-eval-free terms syntactic freeness understates semantic
     dependence, which is why the kernel's substitution has its own guards.
+
+    Above the leaves the set is computed on the first call and kept on the
+    node as ``_fv`` (terms are immutable).  A node reuses a part's set
+    whenever its own set is no larger, so a deep term holds few distinct
+    sets.  A Variable's set is rebuilt instead: kept on the Variable it
+    would hold the Variable, a reference cycle only the garbage collector
+    frees.
     """
+    fv = t.__dict__.get("_fv")
+    if fv is not None:
+        return fv
     if isinstance(t, Variable):
         return frozenset((t,))
     if isinstance(t, Constant):
-        return frozenset()
+        return _NO_FREES
     if isinstance(t, Application):
-        return _frees(t.fn) | _frees(t.arg)
-    if isinstance(t, Abstraction):
-        return _frees(t.body) - frozenset((t.var,))
-    if isinstance(t, Quotation):
-        if not t.has_hole:
-            return frozenset()
-        return _quoted_live_frees(t.body)
-    if isinstance(t, Hole):
-        return _frees(t.content)
-    if isinstance(t, Evaluation):
-        return _frees(t.content)
-    raise TypeError(f"not a term: {t!r}")
+        a = _frees(t.fn)
+        b = _frees(t.arg)
+        if b <= a:
+            fv = a
+        elif a <= b:
+            fv = b
+        else:
+            fv = a | b
+    elif isinstance(t, Abstraction):
+        fv = _frees(t.body)
+        if t.var in fv:
+            fv = fv - frozenset((t.var,))
+    elif isinstance(t, Quotation):
+        fv = _quoted_live_frees(t.body) if t.has_hole else _NO_FREES
+    elif isinstance(t, (Hole, Evaluation)):
+        fv = _frees(t.content)
+    else:
+        raise TypeError(f"not a term: {t!r}")
+    object.__setattr__(t, "_fv", fv)
+    return fv
 
 
 def free_variables(t: Term) -> frozenset:
@@ -502,6 +533,10 @@ def _bound_index(v: Variable, env: tuple):
 
 
 def _alpha(s: Term, t: Term, env_s: tuple, env_t: tuple) -> bool:
+    # env_s is env_t only while every binder pair so far was one variable:
+    # then both stacks are equal and a shared subterm is alpha-equal to itself.
+    if s is t and env_s is env_t:
+        return True
     if type(s) is not type(t):
         return False
     if isinstance(s, Variable):
@@ -523,6 +558,9 @@ def _alpha(s: Term, t: Term, env_s: tuple, env_t: tuple) -> bool:
             # so alpha-steps are only admitted across eval-free bodies.
             if not (s.body.eval_free and t.body.eval_free):
                 return False
+        elif env_s is env_t:
+            env = env_s + (s.var,)
+            return _alpha(s.body, t.body, env, env)
         return _alpha(s.body, t.body, env_s + (s.var,), env_t + (t.var,))
     if isinstance(s, Quotation):
         return _alpha_quoted(s.body, t.body, env_s, env_t)

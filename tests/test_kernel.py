@@ -118,6 +118,40 @@ def test_vsubst_identity_bindings_are_dropped():
     assert vsubst([(x, x)], t) is t
 
 
+@pytest.mark.parametrize("order", ["identity-first", "identity-last"])
+def test_vsubst_refuses_an_identity_pair_that_conflicts(order):
+    x, y = bv("x"), bv("y")
+    pairs = [(x, x), (x, y)]
+    if order == "identity-last":
+        pairs.reverse()
+    with pytest.raises(KernelError, match="conflicting substitutions for x"):
+        vsubst(pairs, x)
+    with pytest.raises(KernelError, match="conflicting substitutions for x"):
+        INST(pairs, ASSUME(x))
+
+
+@pytest.mark.parametrize("second", ["other-type", "identity"])
+@pytest.mark.parametrize("reverse", [False, True], ids=["in-order", "reversed"])
+def test_inst_type_refuses_conflicting_instantiations(second, reverse):
+    a = TypeVariable("A")
+    x = Variable("x", a)
+    pairs = [(a, num_ty()), (a, bool_ty() if second == "other-type" else a)]
+    if reverse:
+        pairs.reverse()
+    with pytest.raises(KernelError, match="conflicting instantiations for 'A"):
+        inst_type(pairs, x)
+    with pytest.raises(KernelError, match="conflicting instantiations for 'A"):
+        INST_TYPE(pairs, REFL(x))
+
+
+def test_repeated_equal_pairs_are_not_a_conflict():
+    x = bv("x")
+    a = TypeVariable("A")
+    assert vsubst([(x, T), (x, T)], x) == T
+    assert vsubst([(x, x), (x, x)], x) is x
+    assert inst_type([(a, num_ty()), (a, num_ty())], Variable("x", a)) == Variable("x", num_ty())
+
+
 def test_vsubst_shadowed_binder_protects():
     x = bv("x")
     t = Abstraction(x, x)

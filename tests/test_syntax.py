@@ -9,6 +9,7 @@ from cqe.errors import (
     NotEvalFree,
     UnknownName,
 )
+from cqe.frontend import term_to_tree, tree_to_term
 from cqe.syntax import (
     Abstraction,
     Application,
@@ -19,6 +20,7 @@ from cqe.syntax import (
     TypeApplication,
     TypeVariable,
     Variable,
+    _frees,
     alpha_equivalent,
     bool_ty,
     dest_fun,
@@ -30,6 +32,7 @@ from cqe.syntax import (
     mk_fun,
     num_ty,
     subst_type,
+    subterms,
     type_variables_in,
     type_variables_in_term,
     variables_in,
@@ -268,3 +271,99 @@ def test_alpha_is_reflexive_on_generated_terms():
     for _ in range(80):
         t = gen.term(depth=3)
         assert alpha_equivalent(t, t)
+
+
+# ---------------------------------------------------------------------------
+# shared subterms: the identity shortcut in _alpha and the memo in _frees
+# ---------------------------------------------------------------------------
+
+
+def _fresh(t):
+    """A structurally equal copy of t that shares no node with it."""
+    return tree_to_term(term_to_tree(t))
+
+
+def test_alpha_swapped_binders_over_a_shared_body():
+    x, y = tv("x"), tv("y")
+    # \x. \y. x  vs  \y. \x. x, with one shared object for the body x
+    assert not alpha_equivalent(Abstraction(x, Abstraction(y, x)), Abstraction(y, Abstraction(x, x)))
+    xn, yn = tv("x", num_ty()), tv("y", num_ty())
+    plus = Constant("+", mk_fun(num_ty(), mk_fun(num_ty(), num_ty())))
+    body = Application(Application(plus, xn), yn)  # x + y, shared by both sides
+    assert not alpha_equivalent(
+        Abstraction(xn, Abstraction(yn, body)), Abstraction(yn, Abstraction(xn, body))
+    )
+    # a renamed outer binder, then the same inner binder: y is bound on the
+    # left and free on the right, although the inner binders agree
+    zn = tv("z", num_ty())
+    assert not alpha_equivalent(
+        Abstraction(yn, Abstraction(xn, body)), Abstraction(zn, Abstraction(xn, body))
+    )
+    assert alpha_equivalent(
+        Abstraction(xn, Abstraction(yn, body)), Abstraction(xn, Abstraction(yn, body))
+    )
+
+
+def test_alpha_refuses_a_renamed_binder_over_a_shared_evaluation():
+    c = tv("c", epsilon_ty())
+    n, m, k = tv("n", epsilon_ty()), tv("m", epsilon_ty()), tv("k", epsilon_ty())
+    body = Application(Abstraction(k, Evaluation(c, bool_ty())), Quotation(tv("x")))
+    assert not alpha_equivalent(Abstraction(n, body), Abstraction(m, body))
+    # the rename is refused under an identical outer binder as well
+    assert not alpha_equivalent(
+        Abstraction(k, Abstraction(n, body)), Abstraction(k, Abstraction(m, body))
+    )
+    assert alpha_equivalent(Abstraction(n, body), Abstraction(n, body))
+
+
+_CORPORA = {
+    "plain": (21, {}),
+    "evals": (22, {"evals": True}),
+    "holes": (23, {"holes": True}),
+    "evals+holes": (24, {"evals": True, "holes": True}),
+}
+
+
+def _shared_corpus(name):
+    """Generated terms, plus terms made by putting two binders drawn from a
+    term's own variables over that one shared term (each built twice, so
+    equal wrappers meet at the shared term under equal binders)."""
+    seed, kw = _CORPORA[name]
+    gen = TermGen(seed=seed, **kw)
+    terms = [gen.term(depth=3) for _ in range(14)]
+    for t in terms[:6]:
+        vs = sorted(variables_in(t), key=lambda v: (v.name, repr(v.ty)))[:3]
+        for a in vs:
+            for b in vs:
+                terms.append(Abstraction(a, Abstraction(b, t)))
+                terms.append(Abstraction(a, Abstraction(b, t)))
+    return terms
+
+
+@pytest.mark.parametrize("corpus", _CORPORA)
+def test_alpha_agrees_with_unshared_copies(corpus):
+    terms = _shared_corpus(corpus)
+    fresh = [_fresh(t) for t in terms]
+    hits = 0
+    for s, fs in zip(terms, fresh):
+        assert alpha_equivalent(s, fs)
+        for t, ft in zip(terms, fresh):
+            got = alpha_equivalent(s, t)
+            assert got == alpha_equivalent(fs, ft)
+            hits += got
+    assert hits > len(terms)  # some pairs other than s against itself agree
+
+
+@pytest.mark.parametrize("corpus", _CORPORA)
+def test_frees_agrees_with_unshared_copies(corpus):
+    for t in _shared_corpus(corpus):
+        # fill the memo on t's parts before t; the copy is filled top-down
+        for s in subterms(t):
+            _frees(s)
+        assert _frees(t) == _frees(_fresh(t))
+
+
+def test_frees_is_kept_on_the_node():
+    for t in _shared_corpus("evals+holes"):
+        if not isinstance(t, Variable):
+            assert _frees(t) is _frees(t)
