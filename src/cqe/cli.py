@@ -197,21 +197,22 @@ def _eval_proof(node, lineno: int):
         raise ScriptError("expected a theorem, got a quoted literal", lineno)
     _, rule, args = node
     if rule in ("INST", "INST_TYPE"):
-        return _eval_inst(rule, args, lineno)
-    entry = RULE_SIGS.get(rule)
-    if entry is None:
-        raise ScriptError(f"unknown rule {rule!r}", lineno)
-    fn, kinds, least = entry
-    if not (least <= len(args) <= len(kinds)):
-        want = (
-            str(least) if least == len(kinds) else f"{least} to {len(kinds)}"
-        )
-        raise ScriptError(
-            f"{rule} takes {want} arguments, got {len(args)}", lineno
-        )
-    vals = [
-        _coerce(rule, a, k, lineno) for a, k in zip(args, kinds)
-    ]
+        fn, vals = _inst_call(rule, args, lineno)
+    else:
+        entry = RULE_SIGS.get(rule)
+        if entry is None:
+            raise ScriptError(f"unknown rule {rule!r}", lineno)
+        fn, kinds, least = entry
+        if not (least <= len(args) <= len(kinds)):
+            want = (
+                str(least) if least == len(kinds) else f"{least} to {len(kinds)}"
+            )
+            raise ScriptError(
+                f"{rule} takes {want} arguments, got {len(args)}", lineno
+            )
+        vals = [
+            _coerce(rule, a, k, lineno) for a, k in zip(args, kinds)
+        ]
     try:
         return fn(*vals)
     except SubstitutionBlocked as e:
@@ -220,7 +221,8 @@ def _eval_proof(node, lineno: int):
         raise ScriptError(f"{rule}: {type(e).__name__}: {e}", lineno, cause=e) from e
 
 
-def _eval_inst(rule, args, lineno):
+def _inst_call(rule, args, lineno):
+    """The kernel function and its arguments for an INST/INST_TYPE call."""
     if len(args) < 3 or len(args) % 2 == 0:
         raise ScriptError(
             f"{rule} takes variable/replacement pairs and then a theorem", lineno
@@ -239,13 +241,7 @@ def _eval_inst(rule, args, lineno):
                 )
             t = _coerce(rule, tnode, TYPE, lineno)
         pairs.append((v, t))
-    fn = kernel.INST if rule == "INST" else kernel.INST_TYPE
-    try:
-        return fn(pairs, th)
-    except SubstitutionBlocked as e:
-        raise ScriptError(_blocked_message(rule, e), lineno, cause=e) from e
-    except CqeError as e:
-        raise ScriptError(f"{rule}: {type(e).__name__}: {e}", lineno, cause=e) from e
+    return (kernel.INST if rule == "INST" else kernel.INST_TYPE), (pairs, th)
 
 
 def _coerce(rule, node, kind, lineno):
@@ -415,8 +411,12 @@ class Runner:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        # reported like a file that cannot be read: exit 2, no traceback
+        raise OSError(f"{path}: not UTF-8 text: {e}") from None
 
 
 def _cmd_check(args) -> int:

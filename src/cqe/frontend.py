@@ -15,12 +15,15 @@ The surface language is a small HOL-style notation:
   on; string literals like ``"bool"`` are the names used by syntax
   constructors; numerals abbreviate ``SUC (SUC ... _0)`` on input only.
 
-Parsing is two-phase: a recursive-descent parser builds an untyped tree,
-then a unification-based elaborator resolves identifier scoping and fills
-in types.  Every constant occurrence of a polymorphic constant gets fresh
-type metavariables; free variables get one type per name; anything left
-undetermined is an error rather than a guess.  ``print_term`` emits text
-that parses back to an equal term.
+A recursive-descent parser builds a tree of identifiers whose type
+annotations are already kernel ``HolType`` values; a unification-based
+elaborator then resolves identifier scoping and fills in types.  Its types
+are kernel types too, plus one class of unification variable (``_Meta``):
+every occurrence of a polymorphic constant gets fresh metas for its type
+variables, free variables get one type per name, and ``_zonk`` replaces
+solved metas when the kernel terms are built.  Anything left undetermined is
+an error rather than a guess.  ``print_term`` emits text that parses back to
+an equal term.
 """
 
 from __future__ import annotations
@@ -51,9 +54,11 @@ from .syntax import (
     TypeVariable,
     Variable,
     _is_name_literal,
+    epsilon_ty,
     mk_fun,
     num_ty,
     str_ty,
+    subst_type,
     type_variables_in,
 )
 
@@ -130,29 +135,8 @@ def _lex(text: str) -> list:
 
 
 # ---------------------------------------------------------------------------
-# untyped parse trees
+# parse trees
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class PTy:
-    pass
-
-
-@dataclass
-class PTyVar(PTy):
-    name: str
-
-
-@dataclass
-class PTyCon(PTy):
-    name: str
-
-
-@dataclass
-class PTyFun(PTy):
-    dom: PTy
-    cod: PTy
 
 
 @dataclass
@@ -163,7 +147,7 @@ class PNode:
 @dataclass
 class PIdent(PNode):
     name: str
-    ann: PTy | None
+    ann: HolType | None
 
 
 @dataclass
@@ -185,7 +169,7 @@ class PApp(PNode):
 @dataclass
 class PAbs(PNode):
     name: str
-    ann: PTy | None
+    ann: HolType | None
     body: PNode
 
 
@@ -197,13 +181,13 @@ class PQuote(PNode):
 @dataclass
 class PHole(PNode):
     body: PNode
-    ann: PTy | None
+    ann: HolType | None
 
 
 @dataclass
 class PEval(PNode):
     body: PNode
-    ty: PTy
+    ty: HolType
 
 
 # Operator names that may appear as parenthesized atoms like (=) or (+).
@@ -252,22 +236,25 @@ class _Parser:
 
     # -- types --------------------------------------------------------------
 
-    def type_(self) -> PTy:
+    def type_(self) -> HolType:
         a = self.tyatom()
         t = self.peek()
         if t.kind == "OP" and t.text == "->":
             self.advance()
-            return PTyFun(a, self.type_())
+            return mk_fun(a, self.type_())
         return a
 
-    def tyatom(self) -> PTy:
+    def tyatom(self) -> HolType:
         t = self.peek()
         if t.kind == "TYVAR":
             self.advance()
-            return PTyVar(t.text)
+            return TypeVariable(t.text)
         if t.kind == "IDENT":
             self.advance()
-            return PTyCon(t.text)
+            try:
+                return TypeApplication(t.text, ())
+            except KernelError as e:
+                self.fail(str(e), t)
         if t.kind == "OP" and t.text == "(":
             self.advance()
             ty = self.type_()
@@ -425,7 +412,7 @@ class _Parser:
             return body
         self.fail("expected a term")
 
-    def _opt_ann(self) -> PTy | None:
+    def _opt_ann(self) -> HolType | None:
         t = self.peek()
         if t.kind == "OP" and t.text == ":":
             self.advance()
@@ -434,7 +421,7 @@ class _Parser:
 
 
 # ---------------------------------------------------------------------------
-# elaboration: untyped trees -> kernel terms
+# elaboration: parse trees -> kernel terms
 # ---------------------------------------------------------------------------
 
 
@@ -446,72 +433,55 @@ class _Unresolved(Exception):
     pass
 
 
-_meta_ids = itertools.count()
+class _Meta:
+    """A type to be found by unification; ``ref`` is its solution, if any."""
 
-
-class _EMeta:
-    __slots__ = ("ref", "uid")
+    __slots__ = ("ref",)
 
     def __init__(self):
         self.ref = None
-        self.uid = next(_meta_ids)
 
 
-class _ERig:
-    __slots__ = ("name",)
-
-    def __init__(self, name):
-        self.name = name
-
-
-class _ECon:
-    __slots__ = ("name", "args")
-
-    def __init__(self, name, args=()):
-        self.name = name
-        self.args = tuple(args)
-
-
-def _eresolve(t):
-    while isinstance(t, _EMeta) and t.ref is not None:
+def _resolve(t):
+    while isinstance(t, _Meta) and t.ref is not None:
         t = t.ref
     return t
 
 
 def _occurs(m, t):
-    t = _eresolve(t)
+    t = _resolve(t)
     if t is m:
         return True
-    if isinstance(t, _ECon):
-        return any(_occurs(m, a) for a in t.args)
+    if isinstance(t, TypeApplication):
+        for a in t.arguments:
+            if _occurs(m, a):
+                return True
     return False
 
 
 def _unify(a, b, trail):
-    a = _eresolve(a)
-    b = _eresolve(b)
+    a = _resolve(a)
+    b = _resolve(b)
     if a is b:
         return
-    if isinstance(a, _EMeta):
+    if isinstance(a, _Meta):
         if _occurs(a, b):
             raise _UnifyFail
         a.ref = b
         trail.append(a)
         return
-    if isinstance(b, _EMeta):
+    if isinstance(b, _Meta):
         _unify(b, a, trail)
         return
-    if isinstance(a, _ERig) and isinstance(b, _ERig):
-        if a.name != b.name:
+    if isinstance(a, TypeApplication) and isinstance(b, TypeApplication):
+        if a.constructor != b.constructor or len(a.arguments) != len(b.arguments):
             raise _UnifyFail
-        return
-    if isinstance(a, _ECon) and isinstance(b, _ECon):
-        if a.name != b.name or len(a.args) != len(b.args):
-            raise _UnifyFail
-        for x, y in zip(a.args, b.args):
+        for x, y in zip(a.arguments, b.arguments):
             _unify(x, y, trail)
         return
-    raise _UnifyFail
+    # rigid type variables unify only with themselves
+    if a != b:
+        raise _UnifyFail
 
 
 def _undo(trail, mark):
@@ -519,28 +489,27 @@ def _undo(trail, mark):
         trail.pop().ref = None
 
 
-def _ety_of_hol(ty: HolType, metas: dict | None = None):
-    """Translate a kernel type; generic type variables become fresh metas."""
-    if isinstance(ty, TypeVariable):
-        if metas is None:
-            return _ERig(ty.name)
-        if ty.name not in metas:
-            metas[ty.name] = _EMeta()
-        return metas[ty.name]
-    return _ECon(ty.constructor, tuple(_ety_of_hol(a, metas) for a in ty.arguments))
+def _zonk(t) -> HolType:
+    """``t`` with its metas replaced by their solutions; ``t`` itself when
+    nothing changes.  Raises ``_Unresolved`` on an unsolved meta.
 
-
-def _ety_to_hol(t) -> HolType:
-    t = _eresolve(t)
-    if isinstance(t, _EMeta):
-        raise _Unresolved
-    if isinstance(t, _ERig):
-        return TypeVariable(t.name)
-    return TypeApplication(t.name, tuple(_ety_to_hol(a) for a in t.args))
-
-
-def _efun(dom, cod):
-    return _ECon("fun", (dom, cod))
+    Terms are built only once unification is over, so a meta keeps its
+    zonked solution and later occurrences share it.
+    """
+    if isinstance(t, _Meta):
+        if t.ref is None:
+            raise _Unresolved
+        t.ref = _zonk(t.ref)
+        return t.ref
+    if isinstance(t, TypeVariable):
+        return t
+    args = []
+    changed = False
+    for a in t.arguments:
+        b = _zonk(a)
+        changed = changed or b is not a
+        args.append(b)
+    return TypeApplication(t.constructor, tuple(args)) if changed else t
 
 
 class _Elab:
@@ -552,22 +521,6 @@ class _Elab:
         self.ids = itertools.count()
         self.qdepth = 0
         self.saved = None  # live env length at the outermost open quotation
-
-    # -- types ---------------------------------------------------------------
-
-    def ety_of(self, p: PTy):
-        if isinstance(p, PTyVar):
-            return _ERig(p.name)
-        if isinstance(p, PTyCon):
-            arity = self.sess.type_arities.get(p.name)
-            if arity is None:
-                raise ParseError(f"unknown type {p.name!r}")
-            if arity != 0:
-                raise ParseError(
-                    f"type constructor {p.name!r} expects {arity} arguments"
-                )
-            return _ECon(p.name)
-        return _efun(self.ety_of(p.dom), self.ety_of(p.cod))
 
     def _unify_at(self, a, b, p, what):
         try:
@@ -584,15 +537,16 @@ class _Elab:
             return self._ident(p)
         if isinstance(p, PString):
             text = p.text
-            return _ECon("str"), lambda b: Constant('"' + text + '"', str_ty())
+            ty = str_ty()
+            return ty, lambda b: Constant('"' + text + '"', ty)
         if isinstance(p, PNum):
             return self._num(p)
         if isinstance(p, PApp):
             fe, fb = self.elab(p.fn)
             ae, ab = self.elab(p.arg)
-            res = _EMeta()
+            res = _Meta()
             self._unify_at(
-                fe, _efun(ae, res), p, "operator/operand types do not agree"
+                fe, mk_fun(ae, res), p, "operator/operand types do not agree"
             )
             return res, lambda b: Application(fb(b), ab(b))
         if isinstance(p, PAbs):
@@ -606,20 +560,19 @@ class _Elab:
             self.qdepth -= 1
             if entered:
                 self.saved = None
-            return _ECon("epsilon"), lambda b: Quotation(bb(b))
+            return epsilon_ty(), lambda b: Quotation(bb(b))
         if isinstance(p, PHole):
             return self._hole(p)
         if isinstance(p, PEval):
             ce, cb = self.elab(p.body)
             self._unify_at(
-                ce, _ECon("epsilon"), p, "eval expects a construction (type epsilon)"
+                ce, epsilon_ty(), p, "eval expects a construction (type epsilon)"
             )
-            rty = self.ety_of(p.ty)
-            return rty, lambda b: Evaluation(cb(b), _ety_to_hol(rty))
+            return p.ty, lambda b: Evaluation(cb(b), p.ty)
         raise AssertionError(f"unhandled parse node {p!r}")
 
     def _ident(self, p: PIdent):
-        ann = self.ety_of(p.ann) if p.ann is not None else None
+        ann = p.ann
         for name, bid, vty in reversed(self.env):
             if name != p.name:
                 continue
@@ -633,23 +586,23 @@ class _Elab:
             return vty, (lambda b, bid=bid: b[bid])
         generic = self.sess.constants.get(p.name)
         if generic is not None:
-            ety = _ety_of_hol(generic, metas={})
+            ety = subst_type(generic, {tv: _Meta() for tv in type_variables_in(generic)})
             if ann is not None:
                 self._unify_at(
                     ety, ann, p, f"annotation does not fit constant {p.name!r}"
                 )
             name = p.name
-            return ety, lambda b: Constant(name, _ety_to_hol(ety))
+            return ety, lambda b: Constant(name, _zonk(ety))
         ety = self.free.get(p.name)
         if ety is None:
-            ety = _EMeta()
+            ety = _Meta()
             self.free[p.name] = ety
         if ann is not None:
             self._unify_at(
                 ety, ann, p, f"conflicting types for free variable {p.name!r}"
             )
         name = p.name
-        return ety, lambda b: Variable(name, _ety_to_hol(ety))
+        return ety, lambda b: Variable(name, _zonk(ety))
 
     def _num(self, p: PNum):
         if "_0" not in self.sess.constants or "SUC" not in self.sess.constants:
@@ -664,7 +617,7 @@ class _Elab:
                 t = Application(suc, t)
             return t
 
-        return _ECon("num"), build
+        return num_ty(), build
 
     def _abs(self, p: PAbs):
         if p.name in self.sess.constants:
@@ -672,7 +625,7 @@ class _Elab:
             raise ParseError(
                 f"binder variable {p.name!r} shadows a constant (at {line}:{col})"
             )
-        vty = self.ety_of(p.ann) if p.ann is not None else _EMeta()
+        vty = p.ann if p.ann is not None else _Meta()
         bid = next(self.ids)
         self.env.append((p.name, bid, vty))
         be, bb = self.elab(p.body)
@@ -680,11 +633,11 @@ class _Elab:
         name = p.name
 
         def build(b, bid=bid, vty=vty, bb=bb, name=name):
-            v = Variable(name, _ety_to_hol(vty))
+            v = Variable(name, _zonk(vty))
             b[bid] = v
             return Abstraction(v, bb(b))
 
-        return _efun(vty, be), build
+        return mk_fun(vty, be), build
 
     def _hole(self, p: PHole):
         # Hole contents live outside the quotation: resolve identifiers
@@ -698,28 +651,17 @@ class _Elab:
         finally:
             self.env, self.qdepth, self.saved = save_env, save_q, save_s
         self._unify_at(
-            ce, _ECon("epsilon"), p, "hole content must be a construction (type epsilon)"
+            ce, epsilon_ty(), p, "hole content must be a construction (type epsilon)"
         )
-        slot = self.ety_of(p.ann) if p.ann is not None else _EMeta()
-        return slot, lambda b: Hole(cb(b), _ety_to_hol(slot))
-
-
-def _pty_to_hol(p: PTy) -> HolType:
-    if isinstance(p, PTyVar):
-        return TypeVariable(p.name)
-    if isinstance(p, PTyCon):
-        try:
-            return TypeApplication(p.name, ())
-        except KernelError as e:
-            raise ParseError(str(e)) from None
-    return mk_fun(_pty_to_hol(p.dom), _pty_to_hol(p.cod))
+        slot = p.ann if p.ann is not None else _Meta()
+        return slot, lambda b: Hole(cb(b), _zonk(slot))
 
 
 def parse_type(text: str) -> HolType:
     par = _Parser(_lex(text), text)
-    p = par.type_()
+    ty = par.type_()
     par.expect_eof()
-    return _pty_to_hol(p)
+    return ty
 
 
 def parse_term(text: str) -> Term:
@@ -727,7 +669,7 @@ def parse_term(text: str) -> Term:
     p = par.term()
     par.expect_eof()
     el = _Elab()
-    ety, build = el.elab(p)
+    _, build = el.elab(p)
     try:
         return build({})
     except _Unresolved:

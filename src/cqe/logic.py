@@ -241,7 +241,7 @@ def SPEC(t: Term, th: Theorem) -> Theorem:
         raise WrongShape("SPEC expects a universal theorem")
     f = th.concl.arg
     alpha = f.ty.arguments[0]
-    pth = INST_TYPE(((TypeVariable("A"), alpha),), _basis("spec"))
+    pth = INST_TYPE(((TypeVariable("'A"), alpha),), _basis("spec"))
     pth = INST(((Variable("P", mk_fun(alpha, bool_ty())), f),), pth)
     th2 = EQ_MP(pth, th)
     lam_t = dest_eq(th2.concl)[1]
@@ -255,7 +255,7 @@ def SPEC(t: Term, th: Theorem) -> Theorem:
 
 def GEN(x: Variable, th: Theorem) -> Theorem:
     ath = ABS(x, EQT_INTRO(th))
-    pth = INST_TYPE(((TypeVariable("A"), x.ty),), _basis("spec"))
+    pth = INST_TYPE(((TypeVariable("'A"), x.ty),), _basis("spec"))
     lam = Abstraction(x, th.concl)
     pth2 = INST(((Variable("P", mk_fun(x.ty, bool_ty())), lam),), pth)
     return EQ_MP(SYM(pth2), ath)
@@ -328,7 +328,7 @@ def _unfold(def_th: Theorem, *args: Term) -> Theorem:
 def bootstrap_logic(s) -> None:
     b = bool_ty()
     p, q, r = _pvar("p"), _pvar("q"), _pvar("r")
-    A = TypeVariable("A")
+    A = TypeVariable("'A")
 
     # truth
     idb = Abstraction(p, p)

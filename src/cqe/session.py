@@ -99,7 +99,7 @@ def _populate(s: Session) -> None:
     from . import constructions, logic
     from .syntax import TypeVariable, bool_ty, mk_fun
 
-    a = TypeVariable("A")
+    a = TypeVariable("'A")
     s.constants["="] = mk_fun(a, mk_fun(a, bool_ty()))
 
     constructions.install(s)

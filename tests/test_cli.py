@@ -72,6 +72,17 @@ def test_constant_axiom_define_register(tmp_path, capsys):
     assert main(["check", path]) == 0
 
 
+def test_inst_type_instantiates_a_bootstrap_type_variable(tmp_path, capsys):
+    path = write(
+        tmp_path,
+        """
+        thm a := (INST_TYPE `'A` `num` FORALL_DEF)
+        check a matches `(!):((num->bool)->bool) = (\\P:(num->bool). P = (\\x:num. T))`
+        """,
+    )
+    assert main(["check", path]) == 0
+
+
 # ---------------------------------------------------------------------------
 # failure modes and exit codes
 # ---------------------------------------------------------------------------
@@ -80,6 +91,14 @@ def test_constant_axiom_define_register(tmp_path, capsys):
 def test_missing_file_is_exit_2(capsys):
     assert main(["check", "/nonexistent/nowhere.cqe"]) == 2
     assert "cqe:" in capsys.readouterr().err
+
+
+def test_non_utf8_script_is_exit_2(tmp_path, capsys):
+    p = tmp_path / "script.cqe"
+    p.write_bytes(b"echo hi\n\xff\n")
+    assert main(["check", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cqe:") and "Traceback" not in err
 
 
 def test_failed_check_is_exit_1(tmp_path, capsys):

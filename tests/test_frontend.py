@@ -2,6 +2,7 @@
 
 import pytest
 
+from cqe import session
 from cqe.errors import (
     ElaborationError,
     HoleOutsideQuotation,
@@ -33,6 +34,7 @@ from cqe.syntax import (
     TypeApplication,
     TypeVariable,
     Variable,
+    alpha_equivalent,
     bool_ty,
     epsilon_ty,
     mk_fun,
@@ -187,6 +189,40 @@ def test_type_annotation_conflicts():
         parse_term("T:num")
 
 
+@pytest.mark.parametrize(
+    "parse, text",
+    [(parse_term, "x:foo"), (parse_term, "x:fun"), (parse_type, "foo")],
+    ids=["unknown-in-term", "wrong-arity-in-term", "unknown-type"],
+)
+def test_bad_type_constructor_is_a_parse_error_with_a_span(parse, text):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert info.value.span is not None
+
+
+@pytest.mark.parametrize("text", ["x:'a = y:'b", "x:'a = y:num"])
+def test_rigid_type_variables_unify_only_with_themselves(text):
+    with pytest.raises(ElaborationError):
+        parse_term(text)
+
+
+def test_polymorphic_constant_at_two_instances_in_one_term():
+    t = parse_term("(x:num = y) = (p:bool = q)")
+    outer = t.fn.fn
+    inner_num = t.fn.arg.fn.fn
+    assert outer.ty == mk_fun(bool_ty(), mk_fun(bool_ty(), bool_ty()))
+    assert inner_num.ty == mk_fun(num_ty(), mk_fun(num_ty(), bool_ty()))
+
+
+def test_unconstrained_polymorphic_constant_is_unresolved():
+    with pytest.raises(ElaborationError, match="could not infer"):
+        parse_term("(=)")
+
+
+def test_monomorphic_signature_is_used_as_is():
+    assert parse_term("~T").fn.ty is session.current().constants["~"]
+
+
 def test_eval_inside_quotation_rejected():
     with pytest.raises(ParseError):
         parse_term("Q_ eval x:epsilon to bool _Q")
@@ -245,6 +281,13 @@ def test_print_shadowed_occurrence_annotates():
 def test_print_theorem_format():
     th = ASSUME(mk_conj(Constant("T", bool_ty()), Constant("F", bool_ty())))
     assert print_theorem(th) == "T /\\ F |- T /\\ F"
+
+
+def test_bootstrap_statements_round_trip():
+    s = session.current()
+    for th in list(s.theorems.values()) + list(s.basis.values()):
+        for t in (th.concl, *th.hyps):
+            assert alpha_equivalent(parse_term(print_term(t)), t), print_term(t)
 
 
 def test_round_trip_generated_terms():
