@@ -96,10 +96,16 @@ def install(s) -> None:
     s.constants["isFreeIn"] = mk_fun(epsilon_ty(), mk_fun(epsilon_ty(), bool_ty()))
 
 
+_SIGS: dict = {}  # constructor name -> its signature type, built on first use
+
+
 def constructor_constant(name: str) -> Constant:
-    if name not in _PARAMS:
-        raise NotAConstruction(f"not a constructor constant: {name!r}")
-    return Constant(name, _sig_type(name))
+    sig = _SIGS.get(name)
+    if sig is None:
+        if name not in _PARAMS:
+            raise NotAConstruction(f"not a constructor constant: {name!r}")
+        sig = _SIGS[name] = _sig_type(name)
+    return Constant(name, sig)
 
 
 def name_literal(text: str) -> Constant:
@@ -135,18 +141,28 @@ def strip_application(t: Term):
 
 
 def type_to_construction(ty: HolType) -> Term:
+    return _encode_type(ty, {})
+
+
+def _encode_type(ty: HolType, types: dict) -> Term:
+    c = types.get(ty)
+    if c is not None:
+        return c
     if isinstance(ty, TypeVariable):
-        return apply_terms(constructor_constant("TyVar"), [name_literal(ty.name)])
-    n = len(ty.arguments)
-    if n > 2:
-        raise UnsupportedArity(
-            f"type constructor {ty.constructor!r} has arity {n}; "
-            "constructions only encode arities 0-2"
-        )
-    args = [name_literal(ty.constructor)]
-    for a in ty.arguments:
-        args.append(type_to_construction(a))
-    return apply_terms(constructor_constant(TYPE_SIG[1 + n][0]), args)
+        c = apply_terms(constructor_constant("TyVar"), [name_literal(ty.name)])
+    else:
+        n = len(ty.arguments)
+        if n > 2:
+            raise UnsupportedArity(
+                f"type constructor {ty.constructor!r} has arity {n}; "
+                "constructions only encode arities 0-2"
+            )
+        args = [name_literal(ty.constructor)]
+        for a in ty.arguments:
+            args.append(_encode_type(a, types))
+        c = apply_terms(constructor_constant(TYPE_SIG[1 + n][0]), args)
+    types[ty] = c
+    return c
 
 
 def term_to_construction(t: Term) -> Term:
@@ -157,7 +173,7 @@ def term_to_construction(t: Term) -> Term:
         raise ContainsHole(
             "term contains holes; expand_quasiquote handles quotations with holes"
         )
-    return _encode(t, False)
+    return _encode(t, False, {})
 
 
 def expand_quasiquote(q: Quotation) -> Term:
@@ -170,10 +186,11 @@ def expand_quasiquote(q: Quotation) -> Term:
     """
     if not isinstance(q, Quotation):
         raise NotAConstruction("expand_quasiquote expects a Quotation")
-    return _encode(q.body, True)
+    return _encode(q.body, True, {})
 
 
-def _encode(t: Term, splice: bool) -> Term:
+def _encode(t: Term, splice: bool, types: dict) -> Term:
+    # ``types`` lives for one call, so each distinct type is encoded once
     if splice and isinstance(t, Hole):
         return t.content
     name = NODE_CONSTRUCTOR.get(type(t))
@@ -182,9 +199,9 @@ def _encode(t: Term, splice: bool) -> Term:
     args = []
     for p in t._parts():
         if isinstance(p, Term):
-            args.append(_encode(p, splice))
+            args.append(_encode(p, splice, types))
         elif isinstance(p, HolType):
-            args.append(type_to_construction(p))
+            args.append(_encode_type(p, types))
         else:
             args.append(name_literal(p))
     return apply_terms(constructor_constant(name), args)

@@ -37,6 +37,7 @@ from . import session
 from .errors import (
     ElaborationError,
     HoleOutsideQuotation,
+    IllTyped,
     KernelError,
     ParseError,
     SourceSpan,
@@ -814,7 +815,10 @@ def tree_to_type(tree) -> HolType:
         tag = tree[0]
         if tag == "tyvar":
             (_, name) = tree
-            return TypeVariable(name)
+            try:
+                return TypeVariable(name)
+            except IllTyped as e:
+                raise ParseError(f"malformed type tree: {tree!r}: {e}") from None
         if tag == "tycon":
             (_, name, args) = tree
             return TypeApplication(name, tuple(tree_to_type(a) for a in args))

@@ -21,6 +21,8 @@ equation can be discharged by inference later.
 
 from __future__ import annotations
 
+import weakref
+
 from . import session
 from .constructions import (
     NODE_CONSTRUCTOR,
@@ -93,9 +95,15 @@ _MAKER = object()
 
 
 class Theorem:
-    """A derived sequent: hypotheses, conclusion, and its trust base."""
+    """A derived sequent: hypotheses, conclusion, and its trust base.
 
-    __slots__ = ("hyps", "concl", "axioms", "trusted")
+    ``session`` is a weak reference to the session the theorem was derived
+    in (weak, so that a session and its theorems form no reference cycle); a
+    rule accepts the theorem as a premise only there or, for a bootstrap
+    theorem, in any session.
+    """
+
+    __slots__ = ("hyps", "concl", "axioms", "trusted", "session")
 
     def __init__(self, hyps, concl, axioms, trusted, token=None):
         if token is not _MAKER:
@@ -104,6 +112,7 @@ class Theorem:
         object.__setattr__(self, "concl", concl)
         object.__setattr__(self, "axioms", axioms)
         object.__setattr__(self, "trusted", trusted)
+        object.__setattr__(self, "session", weakref.ref(session.current()))
 
     def __setattr__(self, name, value):
         raise AttributeError("theorems are immutable")
@@ -134,9 +143,16 @@ def _thm(hyps, concl, axioms=frozenset(), trusted=frozenset()) -> Theorem:
 
 
 def _prov(*thms):
+    """The union of the premises' provenance, refusing a premise derived in
+    a session other than the active one and the bootstrap template."""
+    active = session.current()
+    template = session.template()
     ax = frozenset()
     tr = frozenset()
     for t in thms:
+        derived_in = t.session()
+        if derived_in is not active and derived_in is not template:
+            raise KernelError("a premise was derived in another session")
         ax |= t.axioms
         tr |= t.trusted
     return ax, tr
@@ -612,7 +628,8 @@ def INST(pairs, th: Theorem) -> Theorem:
 def INST_TYPE(pairs, th: Theorem) -> Theorem:
     concl = inst_type(pairs, th.concl)
     hyps = [inst_type(pairs, h) for h in th.hyps]
-    return _thm(hyps, concl, th.axioms, th.trusted)
+    ax, tr = _prov(th)
+    return _thm(hyps, concl, ax, tr)
 
 
 # ---------------------------------------------------------------------------
@@ -802,6 +819,7 @@ def NEITHER_EFFECTIVE(x: Variable, y: Variable, a: Term, b: Term) -> Theorem:
 
 def register_not_effective(th: Theorem) -> Theorem:
     """Admit a proved not-effective fact into the substitution registry."""
+    _prov(th)  # refuses a theorem from another session
     if th.hyps:
         raise WrongShape("only a hypothesis-free theorem can be registered")
     x, t = dest_not_effective(th.concl)

@@ -64,6 +64,12 @@ def current() -> Session:
     return _ensure()
 
 
+def template():
+    """The bootstrap template every session is cloned from; None until the
+    bootstrap has finished."""
+    return _template
+
+
 def reset() -> Session:
     """Discard the active session and start from a fresh bootstrap clone."""
     global _current

@@ -1,5 +1,15 @@
 """Core term language: simple types and the seven-constructor term tree.
 
+Types are hash-consed (Filliâtre & Conchon, "Type-Safe Modular
+Hash-Consing", 2006): ``TypeVariable`` and ``TypeApplication`` return the
+one object per structure kept in a process-wide table, with its hash cached
+on it, so type equality is identity.  A table hit saves only allocation and
+hashing: the arity check against the active session runs on every
+``TypeApplication`` call, so a type is always validated against the session
+that asks for it.  A type with an argument that is not a type (the
+elaborator's unification variables) stays out of the table and compares
+structurally; the elaborator replaces them before it builds a Term.
+
 Terms are immutable; every node validates its own formation conditions when
 built, so a constructed Term is well-typed by construction.  Three node kinds
 go beyond the simply typed lambda calculus:
@@ -54,37 +64,77 @@ from .errors import (
 
 
 class HolType:
-    """Base class for object-logic types."""
+    """Base class for object-logic types; interned, see the module docstring."""
 
     __slots__ = ()
 
+    def __hash__(self):
+        return self._hash
 
-@dataclass(frozen=True)
+    def __setattr__(self, name, value):
+        raise AttributeError("types are immutable")
+
+
+# The intern table.  A TypeVariable's key is its name (a str) and a
+# TypeApplication's is (constructor, arguments) (a tuple), so the two kinds
+# never share a key.  Entries are never removed: a process sees few types.
+_TYPES: dict = {}
+
+
 class TypeVariable(HolType):
-    name: str
+    __slots__ = ("name", "_hash")
+
+    def __new__(cls, name):
+        if not isinstance(name, str) or not name:
+            raise IllTyped("type variable name must be a non-empty string")
+        ty = _TYPES.get(name)
+        if ty is None:
+            ty = object.__new__(cls)
+            object.__setattr__(ty, "name", name)
+            object.__setattr__(ty, "_hash", hash(name))
+            ty = _TYPES.setdefault(name, ty)
+        return ty
+
+    def __reduce__(self):
+        return (TypeVariable, (self.name,))
 
     def __repr__(self):
         return f"'{self.name}"
 
 
-@dataclass(frozen=True)
 class TypeApplication(HolType):
-    constructor: str
-    arguments: tuple = ()
+    __slots__ = ("constructor", "arguments", "_hash")
+
+    def __new__(cls, constructor, arguments=()):
+        if type(arguments) is not tuple:
+            arguments = tuple(arguments)
+        # validated against the asking session on every call, hit or miss
+        arity = session.arity_table().get(constructor)
+        if arity is None:
+            raise UnknownName(f"unknown type constructor: {constructor!r}")
+        if arity != len(arguments):
+            raise IllTyped(
+                f"type constructor {constructor!r} expects {arity} "
+                f"argument(s), got {len(arguments)}"
+            )
+        key = (constructor, arguments)
+        ty = _TYPES.get(key)
+        if ty is None:
+            closed = all(type(a) in (TypeApplication, TypeVariable) for a in arguments)
+            ty = object.__new__(TypeApplication if closed else _OpenTypeApplication)
+            object.__setattr__(ty, "constructor", constructor)
+            object.__setattr__(ty, "arguments", arguments)
+            ty.__post_init__()
+            if closed:
+                ty = _TYPES.setdefault(key, ty)
+        return ty
 
     def __post_init__(self):
-        if not isinstance(self.arguments, tuple):
-            object.__setattr__(self, "arguments", tuple(self.arguments))
-        table = session.arity_table()
-        if table is not None:
-            arity = table.get(self.constructor)
-            if arity is None:
-                raise UnknownName(f"unknown type constructor: {self.constructor!r}")
-            if arity != len(self.arguments):
-                raise IllTyped(
-                    f"type constructor {self.constructor!r} expects {arity} "
-                    f"argument(s), got {len(self.arguments)}"
-                )
+        # runs once per node built, never on a table hit
+        object.__setattr__(self, "_hash", hash((self.constructor, self.arguments)))
+
+    def __reduce__(self):
+        return (TypeApplication, (self.constructor, self.arguments))
 
     def __repr__(self):
         if not self.arguments:
@@ -93,6 +143,23 @@ class TypeApplication(HolType):
             return f"({self.arguments[0]!r}->{self.arguments[1]!r})"
         args = " ".join(repr(a) for a in self.arguments)
         return f"({self.constructor} {args})"
+
+
+class _OpenTypeApplication(TypeApplication):
+    """A type with an argument that is not an interned type, such as one of
+    the elaborator's unification variables: kept out of the table and
+    compared structurally."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return (
+            type(other) is _OpenTypeApplication
+            and self.constructor == other.constructor
+            and self.arguments == other.arguments
+        )
+
+    __hash__ = HolType.__hash__
 
 
 def bool_ty() -> TypeApplication:
@@ -156,9 +223,10 @@ def match_type(generic: HolType, concrete: HolType, env: dict) -> bool:
         return False
     if len(generic.arguments) != len(concrete.arguments):
         return False
-    return all(
-        match_type(g, c, env) for g, c in zip(generic.arguments, concrete.arguments)
-    )
+    for g, c in zip(generic.arguments, concrete.arguments):
+        if not match_type(g, c, env):
+            return False
+    return True
 
 
 def subst_type(ty: HolType, env: dict) -> HolType:
@@ -264,7 +332,7 @@ class Constant(Term):
             generic = session.current().constants.get(self.name)
             if generic is None:
                 raise UnknownName(f"unknown constant: {self.name!r}")
-            if not match_type(generic, self.ty, {}):
+            if self.ty is not generic and not match_type(generic, self.ty, {}):
                 raise IllTyped(
                     f"constant {self.name!r} at type {self.ty!r} is not an "
                     f"instance of its generic type {generic!r}"

@@ -43,6 +43,7 @@ from cqe.syntax import (
     epsilon_ty,
     mk_fun,
     num_ty,
+    subterms,
 )
 
 from genterms import TermGen, distinct_terms
@@ -128,6 +129,55 @@ def test_encoding_matches_oracle_on_generated_terms():
     for _ in range(150):
         t = gen.eval_free(depth=4)
         assert term_to_construction(t) == oracle_term(t)
+
+
+def oracle_quasi(t):
+    """oracle_term with hole contents spliced in verbatim."""
+    if isinstance(t, Hole):
+        return t.content
+    if isinstance(t, Application):
+        return _ap("App", oracle_quasi(t.fn), oracle_quasi(t.arg))
+    if isinstance(t, Abstraction):
+        return _ap("Abs", oracle_quasi(t.var), oracle_quasi(t.body))
+    if isinstance(t, Quotation):
+        return _ap("Quo", oracle_quasi(t.body))
+    return oracle_term(t)
+
+
+@pytest.mark.parametrize("seed,depth", [(3, 3), (5, 4), (7, 5)])
+def test_shared_encoding_equals_the_unshared_reference(seed, depth):
+    gen = TermGen(seed=seed)
+    for t in distinct_terms(gen, 60, depth=depth):
+        assert term_to_construction(t) == oracle_term(t)
+    gen = TermGen(seed=seed, holes=True)
+    bodies = 0
+    while bodies < 60:
+        body = gen.quoted_body(gen.type(2), depth)
+        if body is not None:
+            bodies += 1
+            assert expand_quasiquote(Quotation(body)) == oracle_quasi(body)
+
+
+def _all_subterms(t):
+    out = [t]
+    for s in subterms(t):
+        out.extend(_all_subterms(s))
+    return out
+
+
+def test_encoding_shares_each_type_within_one_call_only():
+    x, y = Variable("x", num_ty()), Variable("y", num_ty())
+    eq = Constant("=", mk_fun(num_ty(), mk_fun(num_ty(), bool_ty())))
+    t = Application(Application(eq, x), y)
+    enc = term_to_construction(t)
+    num = type_to_construction(num_ty())
+    shared = [s for s in _all_subterms(enc) if s == num]
+    assert len(shared) == 4
+    assert all(s is shared[0] for s in shared)
+    again = [s for s in _all_subterms(term_to_construction(t)) if s == num]
+    assert again == shared
+    assert again[0] is not shared[0]
+    assert type_to_construction(num_ty()) is not num
 
 
 def test_encoding_refuses_evaluations_and_holes():

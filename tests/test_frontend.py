@@ -333,6 +333,22 @@ def test_tree_to_term_rejects_malformed_trees(tree):
         tree_to_term(tree)
 
 
+@pytest.mark.parametrize(
+    "tree",
+    [
+        ("tyvar", 5),
+        ("tyvar", ""),
+        ("tycon", "fun", (("tyvar", 5), ("tycon", "bool", ()))),
+    ],
+    ids=["int-name", "empty-name", "nested"],
+)
+def test_tree_to_type_rejects_a_malformed_type_variable_name(tree):
+    with pytest.raises(ParseError):
+        tree_to_type(tree)
+    with pytest.raises(ParseError):
+        tree_to_term(("var", "x", tree))
+
+
 def test_sexp_round_trip():
     gen = TermGen(23, evals=True, holes=True)
     for t in distinct_terms(gen, 150):

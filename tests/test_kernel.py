@@ -1,5 +1,8 @@
 """The kernel: substitution discipline, type instantiation, inference rules."""
 
+import gc
+import weakref
+
 import pytest
 
 from cqe import session
@@ -76,6 +79,8 @@ from cqe.syntax import (
     mk_fun,
     num_ty,
 )
+
+from cqe.logic import SYM
 
 from genterms import TermGen
 
@@ -665,6 +670,57 @@ def test_new_type_constructor():
 def test_register_not_effective_requires_the_shape():
     with pytest.raises(WrongShape):
         register_not_effective(REFL(T))
+
+
+# ---------------------------------------------------------------------------
+# sessions: a premise must come from the active session or the bootstrap
+# ---------------------------------------------------------------------------
+
+
+def test_a_premise_from_another_session_is_refused():
+    a = new_basic_definition("c", T)
+    session.reset()
+    b = new_basic_definition("c", F)
+    # without the session check this derives |- T = F, with no axioms and no
+    # trusted tags
+    with pytest.raises(KernelError, match="another session"):
+        TRANS(SYM(a), b)
+    with pytest.raises(KernelError, match="another session"):
+        TRANS(a, REFL(T))
+    assert TRANS(b, REFL(F)).concl == b.concl
+
+
+def test_a_bootstrap_theorem_is_a_premise_in_every_session():
+    truth = session.current().theorems["TRUTH"]
+    assert truth.session() is session.template()
+    session.reset()
+    assert EQ_MP(REFL(truth.concl), truth).concl == truth.concl
+
+
+def test_a_discarded_session_is_freed_without_the_garbage_collector():
+    gc.disable()
+    try:
+        old = weakref.ref(session.current())
+        th = new_basic_definition("c", T)
+        session.reset()
+        assert old() is None
+        with pytest.raises(KernelError, match="another session"):
+            TRANS(th, REFL(T))
+    finally:
+        gc.enable()
+
+
+def test_inst_type_and_the_registry_refuse_a_foreign_theorem():
+    a = TypeVariable("'a")
+    th = ASSUME(mk_eq(Variable("x", a), Variable("x", a)))
+    n, _, repl, _ = _eval_under_binder()
+    fact = new_axiom("nei_g_test", mk_not_effective(n, repl))
+    session.reset()
+    with pytest.raises(KernelError, match="another session"):
+        INST_TYPE([(a, num_ty())], th)
+    with pytest.raises(KernelError, match="another session"):
+        register_not_effective(fact)
+    assert (n, repl) not in session.current().nei_registry
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Term/type formation, equality, free variables, and alpha-equivalence."""
 
+import copy
+
 import pytest
 
+from cqe import session
 from cqe.errors import (
     HoleOutsideQuotation,
     IllTyped,
@@ -9,7 +12,8 @@ from cqe.errors import (
     NotEvalFree,
     UnknownName,
 )
-from cqe.frontend import term_to_tree, tree_to_term
+from cqe.frontend import _Meta, parse_term, parse_type, term_to_tree, tree_to_term
+from cqe.kernel import new_type_constructor
 from cqe.syntax import (
     Abstraction,
     Application,
@@ -20,6 +24,7 @@ from cqe.syntax import (
     TypeApplication,
     TypeVariable,
     Variable,
+    _TYPES,
     _frees,
     alpha_equivalent,
     bool_ty,
@@ -57,6 +62,53 @@ def test_type_arity_enforced():
         TypeApplication("fun", (bool_ty(),))
     with pytest.raises(UnknownName):
         TypeApplication("mystery", ())
+
+
+def test_equal_types_are_one_object():
+    assert mk_fun(num_ty(), bool_ty()) is mk_fun(num_ty(), bool_ty())
+    assert TypeVariable("'a") is TypeVariable("'a")
+    assert TypeApplication("fun", [num_ty(), bool_ty()]) is mk_fun(num_ty(), bool_ty())
+    ty = mk_fun(TypeVariable("'a"), num_ty())
+    assert parse_type("'a -> num") is ty
+    assert copy.deepcopy(ty) is ty
+    # a type variable and a nullary constructor of the same name stay apart
+    assert TypeVariable("num") is not num_ty()
+    assert TypeVariable("num") != num_ty()
+    with pytest.raises(AttributeError):
+        ty.constructor = "bool"
+
+
+def test_a_table_hit_still_checks_arity():
+    new_type_constructor("pair2", 2)
+    ty = TypeApplication("pair2", (num_ty(), bool_ty()))
+    assert TypeApplication("pair2", (num_ty(), bool_ty())) is ty
+    session.reset()
+    with pytest.raises(UnknownName):
+        TypeApplication("pair2", (num_ty(), bool_ty()))
+    new_type_constructor("pair2", 1)
+    with pytest.raises(IllTyped):
+        TypeApplication("pair2", (num_ty(), bool_ty()))
+
+
+def test_elaboration_enters_no_unification_variable_into_the_table():
+    parse_term("(x0:num = y0) /\\ (\\z0. z0) (u0:bool)")
+    size = len(_TYPES)
+    for i in range(1, 60):
+        parse_term(f"(x{i}:num = y{i}) /\\ (\\z{i}. z{i}) (u{i}:bool)")
+    assert len(_TYPES) == size
+    m = _Meta()
+    open_ty = mk_fun(num_ty(), m)
+    assert open_ty is not mk_fun(num_ty(), m)
+    assert open_ty == mk_fun(num_ty(), m)
+    assert hash(open_ty) == hash(mk_fun(num_ty(), m))
+    assert open_ty != mk_fun(num_ty(), _Meta())
+    assert len(_TYPES) == size
+
+
+@pytest.mark.parametrize("name", ["", 5, None], ids=["empty", "int", "none"])
+def test_type_variable_name_must_be_a_nonempty_string(name):
+    with pytest.raises(IllTyped):
+        TypeVariable(name)
 
 
 def test_fun_type_helpers():
@@ -111,6 +163,17 @@ def test_constant_instances_checked_against_signature():
     assert eq_num.ty == mk_fun(num_ty(), mk_fun(num_ty(), bool_ty()))
     with pytest.raises(IllTyped):
         Constant("=", mk_fun(num_ty(), mk_fun(bool_ty(), bool_ty())))
+
+
+def test_constant_formation_matches_its_signature():
+    generic = session.current().constants["="]
+    assert Constant("=", generic).ty is generic
+    a, b = TypeVariable("'a"), TypeVariable("'b")
+    assert Constant("=", mk_fun(a, mk_fun(a, bool_ty()))).ty.arguments[0] is a
+    with pytest.raises(IllTyped):
+        Constant("=", mk_fun(a, mk_fun(b, bool_ty())))
+    with pytest.raises(IllTyped):
+        Constant("~", mk_fun(num_ty(), num_ty()))
 
 
 def test_name_literals_are_str_typed():
