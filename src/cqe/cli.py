@@ -308,7 +308,7 @@ class Runner:
         self.quiet = quiet
         self.out = out if out is not None else sys.stdout
         self.color = _want_color(self.out) if color is None else color
-        self.defined = []  # theorem names, in definition order
+        self.defined = {}  # theorem name -> line of its thm command, in order
         self.steps = 0
         self.checks = 0
 
@@ -343,7 +343,7 @@ class Runner:
             raise
         except CqeError as e:
             raise ScriptError(f"{type(e).__name__}: {e}", lineno, cause=e) from e
-        except RecursionError as e:
+        except (RecursionError, MemoryError) as e:
             raise ScriptError("input is nested too deeply", lineno, cause=e) from e
         self.steps += 1
 
@@ -381,7 +381,7 @@ class Runner:
             raise ScriptError(f"theorem name already used: {name!r}", lineno)
         th = _eval_proof(_parse_proof(expr, lineno), lineno)
         s.theorems[name] = th
-        self.defined.append(name)
+        self.defined[name] = lineno
         if self.trace:
             self.emit(f"{name} : {print_theorem(th)}")
 
@@ -451,10 +451,14 @@ def _cmd_export(args) -> int:
     s = session.current()
     lines = []
     for name in sorted(runner.defined):
-        tree = _theorem_tree(name, s.theorems[name])
-        lines.append(
-            tree_to_sexp(tree) if args.format == "sexp" else tree_to_json(tree)
-        )
+        try:
+            tree = _theorem_tree(name, s.theorems[name])
+            lines.append(
+                tree_to_sexp(tree) if args.format == "sexp" else tree_to_json(tree)
+            )
+        except (RecursionError, MemoryError) as e:
+            line = runner.defined[name]
+            raise ScriptError("input is nested too deeply", line, cause=e) from e
     data = "\n".join(lines) + ("\n" if lines else "")
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(data)

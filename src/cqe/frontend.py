@@ -15,23 +15,30 @@ The surface language is a small HOL-style notation:
   on; string literals like ``"bool"`` are the names used by syntax
   constructors; numerals abbreviate ``SUC (SUC ... _0)`` on input only.
 
-A recursive-descent parser builds a tree of identifiers whose type
-annotations are already kernel ``HolType`` values; a unification-based
-elaborator then resolves identifier scoping and fills in types.  Its types
-are kernel types too, plus one class of unification variable (``_Meta``):
-every occurrence of a polymorphic constant gets fresh metas for its type
-variables, free variables get one type per name, and ``_zonk`` replaces
-solved metas when the kernel terms are built.  Anything left undetermined is
-an error rather than a guess.  ``print_term`` emits text that parses back to
-an equal term.
+One regular-expression scan lexes the input into parallel lists of token
+kinds, texts and offsets; ``line:col`` is worked out from an offset only
+for a message.  A binding-power parser (Pratt, "Top down operator
+precedence", POPL 1973) reads the lists into a tree of tuples: one loop per
+nesting level handles prefix forms, application and the infix connectives
+of ``_INFIX``, the table the printer also uses.  Type annotations in the
+tree are already kernel ``HolType`` values.
+
+A checking elaborator then resolves identifier scoping and fills in types.
+Its types are kernel types plus one class of unification variable
+(``_Meta``), created only where a type is not known: a monomorphic constant
+has its signature as its type, an application whose operator already has a
+function type checks the operand against its domain, and an annotation is
+used as the type it states.  Each occurrence of a polymorphic constant gets
+fresh metas for its type variables, free variables get one type per name,
+and ``_zonk`` replaces solved metas when the kernel terms are built.
+Anything left undetermined is an error rather than a guess.  ``print_term``
+emits text that parses back to an equal term.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import re
-from dataclasses import dataclass, field
 
 from . import session
 from .errors import (
@@ -84,341 +91,249 @@ __all__ = [
 # lexer
 # ---------------------------------------------------------------------------
 
-_KEYWORDS = ("eval", "to", "Q_", "_Q", "H_", "_H")
-
+# A token's kind is IDENT, TYVAR, NUMERAL, STRING or EOF, or for an
+# operator or keyword its own text.
 _TOKEN_RE = re.compile(
-    r"""(?P<WS>\s+)
-      | (?P<STRING>"[^"\n]*")
+    r"""\s*(?:
+        (?P<STRING>"[^"\n]*")
       | (?P<TYVAR>'[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<KW>(?:eval|to|Q_|_Q|H_|_H)(?![A-Za-z0-9_']))
       | (?P<IDENT>[A-Za-z_][A-Za-z0-9_']*)
       | (?P<NUMERAL>[0-9]+)
       | (?P<OP>==>|->|<=|/\\|\\/|[()\.:\\~=!?+*])
-    """,
+      | (?P<EOF>\Z)
+      | (?P<BAD>.)
+    )""",
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # IDENT TYVAR NUMERAL STRING OP KW EOF
-    text: str
-    line: int
-    col: int
+def _linecol(text: str, offset: int) -> tuple:
+    """1-based line and 0-based column of an offset into ``text``."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset) - 1
 
 
-def _lex(text: str) -> list:
-    toks = []
-    pos = 0
-    line = 1
-    bol = 0  # offset of start of current line
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(
-                f"unexpected character {text[pos]!r}",
-                SourceSpan(text, (line, pos - bol), (line, pos - bol + 1)),
-            )
+def _lex(text: str) -> tuple:
+    """Parallel lists (kinds, texts, offsets), ending with one EOF token."""
+    kinds, texts, starts = [], [], []
+    for m in _TOKEN_RE.finditer(text):
+        g = m.lastindex
         kind = m.lastgroup
-        lexeme = m.group()
-        if kind != "WS":
-            tkind = kind
-            if kind == "IDENT" and lexeme in _KEYWORDS:
-                tkind = "KW"
-            toks.append(Token(tkind, lexeme, line, pos - bol))
-        nl = lexeme.count("\n")
-        if nl:
-            line += nl
-            bol = pos + lexeme.rindex("\n") + 1
-        pos = m.end()
-    toks.append(Token("EOF", "", line, pos - bol))
-    return toks
+        lexeme = m[g]
+        if kind == "OP" or kind == "KW":
+            kind = lexeme
+        elif kind == "BAD":
+            line, col = _linecol(text, m.start(g))
+            raise ParseError(
+                f"unexpected character {lexeme!r}",
+                SourceSpan(text, (line, col), (line, col + 1)),
+            )
+        kinds.append(kind)
+        texts.append(lexeme)
+        starts.append(m.start(g))
+        if kind == "EOF":
+            break
+    return kinds, texts, starts
 
 
 # ---------------------------------------------------------------------------
-# parse trees
+# parser: text -> tree of tuples
 # ---------------------------------------------------------------------------
 
+# Tree nodes are tuples whose first item is the tag; ``off`` is the offset
+# of the token an elaboration error points at.
+#   (_T_ID, name, annotation or None, off)      (_T_APP, fn, arg, off)
+#   (_T_ABS, name, annotation or None, body, off)
+#   (_T_STR, text)   (_T_NUM, value, off)   (_T_QUOTE, body)
+#   (_T_HOLE, body, annotation or None, off)    (_T_EVAL, body, type, off)
+_T_ID, _T_APP, _T_ABS, _T_STR, _T_NUM, _T_QUOTE, _T_HOLE, _T_EVAL = range(8)
 
-@dataclass
-class PNode:
-    pos: tuple = field(default=(0, 0), kw_only=True)
+# Grammar levels, loosest first.  A form parsed at some level may contain
+# only forms of that level or a tighter one, unparenthesized.
+_TERM, _IMP, _DISJ, _CONJ, _NEG, _EQ, _COMB, _APP, _ATOM = range(9)
 
-
-@dataclass
-class PIdent(PNode):
-    name: str
-    ann: HolType | None
-
-
-@dataclass
-class PString(PNode):
-    text: str
-
-
-@dataclass
-class PNum(PNode):
-    value: int
-
-
-@dataclass
-class PApp(PNode):
-    fn: PNode
-    arg: PNode
-
-
-@dataclass
-class PAbs(PNode):
-    name: str
-    ann: HolType | None
-    body: PNode
-
-
-@dataclass
-class PQuote(PNode):
-    body: PNode
-
-
-@dataclass
-class PHole(PNode):
-    body: PNode
-    ann: HolType | None
-
-
-@dataclass
-class PEval(PNode):
-    body: PNode
-    ty: HolType
-
+# infix name -> (level, left operand level, right operand level); the
+# right operand's level makes ==>, \/ and /\ associate to the right
+_INFIX = {
+    "==>": (_IMP, _DISJ, _IMP),
+    "\\/": (_DISJ, _CONJ, _DISJ),
+    "/\\": (_CONJ, _NEG, _CONJ),
+    "=": (_EQ, _COMB, _COMB),
+}
 
 # Operator names that may appear as parenthesized atoms like (=) or (+).
 _OP_ATOMS = frozenset({"=", "==>", "/\\", "\\/", "~", "!", "?", "+", "*", "<="})
 
 _BINDERS = frozenset({"!", "?", "\\"})
 
+_ATOM_START = frozenset({"IDENT", "STRING", "NUMERAL", "Q_", "H_", "("})
+
 
 class _Parser:
-    def __init__(self, toks, text):
-        self.toks = toks
+    def __init__(self, text):
         self.text = text
+        self.kinds, self.texts, self.starts = _lex(text)
         self.i = 0
         self.ctx = []  # 'q' inside a quotation, 'h' inside a hole
 
-    # -- plumbing ----------------------------------------------------------
+    def fail(self, msg, j=None):
+        j = self.i if j is None else j
+        kind, tok = self.kinds[j], self.texts[j]
+        line, col = _linecol(self.text, self.starts[j])
+        shown = tok if kind != "EOF" else "end of input"
+        span = SourceSpan(self.text, (line, col), (line, col + max(len(tok), 1)))
+        raise ParseError(f"{msg} (at {shown!r}, {line}:{col})", span)
 
-    def peek(self, k=0):
-        j = min(self.i + k, len(self.toks) - 1)
-        return self.toks[j]
-
-    def advance(self):
-        t = self.toks[self.i]
-        if t.kind != "EOF":
-            self.i += 1
-        return t
-
-    def _span(self, tok) -> SourceSpan:
-        end = (tok.line, tok.col + max(len(tok.text), 1))
-        return SourceSpan(self.text, (tok.line, tok.col), end)
-
-    def fail(self, msg, tok=None):
-        tok = tok or self.peek()
-        shown = tok.text if tok.kind != "EOF" else "end of input"
-        raise ParseError(f"{msg} (at {shown!r}, {tok.line}:{tok.col})", self._span(tok))
-
-    def expect(self, kind, text=None, what=None):
-        t = self.peek()
-        if t.kind != kind or (text is not None and t.text != text):
-            self.fail(f"expected {what or text or kind}")
-        return self.advance()
+    def expect(self, kind, what):
+        """Consume a token of ``kind`` and return its index."""
+        i = self.i
+        if self.kinds[i] != kind:
+            self.fail(f"expected {what}")
+        self.i = i + 1
+        return i
 
     def expect_eof(self):
-        if self.peek().kind != "EOF":
+        if self.kinds[self.i] != "EOF":
             self.fail("unexpected trailing input")
 
     # -- types --------------------------------------------------------------
 
     def type_(self) -> HolType:
         a = self.tyatom()
-        t = self.peek()
-        if t.kind == "OP" and t.text == "->":
-            self.advance()
+        if self.kinds[self.i] == "->":
+            self.i += 1
             return mk_fun(a, self.type_())
         return a
 
     def tyatom(self) -> HolType:
-        t = self.peek()
-        if t.kind == "TYVAR":
-            self.advance()
-            return TypeVariable(t.text)
-        if t.kind == "IDENT":
-            self.advance()
+        i = self.i
+        kind = self.kinds[i]
+        if kind == "TYVAR":
+            self.i = i + 1
+            return TypeVariable(self.texts[i])
+        if kind == "IDENT":
+            self.i = i + 1
             try:
-                return TypeApplication(t.text, ())
+                return TypeApplication(self.texts[i], ())
             except KernelError as e:
-                self.fail(str(e), t)
-        if t.kind == "OP" and t.text == "(":
-            self.advance()
+                self.fail(str(e), i)
+        if kind == "(":
+            self.i = i + 1
             ty = self.type_()
-            self.expect("OP", ")")
+            self.expect(")", ")")
             return ty
         self.fail("expected a type")
 
+    def _opt_ann(self) -> HolType | None:
+        if self.kinds[self.i] == ":":
+            self.i += 1
+            return self.tyatom()
+        return None
+
     # -- terms --------------------------------------------------------------
 
-    def term(self) -> PNode:
-        t = self.peek()
-        if t.kind == "OP" and t.text in _BINDERS:
-            return self._binder()
-        return self._imp()
+    def term(self, level=_TERM):
+        """Parse the longest form of grammar level ``level`` or tighter.
 
-    def _binder(self) -> PNode:
-        op = self.advance()
+        One frame per nesting level: prefix forms and atoms are parsed here,
+        then application and the infix connectives loop on what was read.
+        """
+        kinds, starts = self.kinds, self.starts
+        i = self.i
+        kind = kinds[i]
+        off = starts[i]
+        if kind in _BINDERS:
+            if level > _TERM:
+                self.fail("expected a term")
+            return self._binder()
+        if kind == "~":
+            if level > _NEG:
+                self.fail("expected a term")
+            self.i = i + 1
+            lhs = (_T_APP, (_T_ID, "~", None, off), self.term(_NEG), off)
+        elif kind == "eval":
+            if level > _COMB:
+                self.fail("expected a term")
+            if self.ctx and self.ctx[-1] == "q":
+                self.fail("evaluation is not allowed inside a quotation")
+            self.i = i + 1
+            body = self.term(_APP)
+            self.expect("to", "'to' in an eval form")
+            lhs = (_T_EVAL, body, self.tyatom(), off)
+        else:
+            if kind == "IDENT":
+                self.i = i + 1
+                lhs = (_T_ID, self.texts[i], self._opt_ann(), off)
+            elif kind == "(":
+                if kinds[i + 1] in _OP_ATOMS and kinds[i + 2] == ")":
+                    self.i = i + 3
+                    lhs = (_T_ID, kinds[i + 1], self._opt_ann(), off)
+                else:
+                    self.i = i + 1
+                    lhs = self.term()
+                    self.expect(")", ")")
+            elif kind == "NUMERAL":
+                self.i = i + 1
+                lhs = (_T_NUM, int(self.texts[i]), off)
+            elif kind == "STRING":
+                self.i = i + 1
+                lhs = (_T_STR, self.texts[i][1:-1])
+            elif kind == "Q_":
+                self.i = i + 1
+                self.ctx.append("q")
+                body = self.term()
+                self.expect("_Q", "'_Q' closing a quotation")
+                self.ctx.pop()
+                lhs = (_T_QUOTE, body)
+            elif kind == "H_":
+                if not (self.ctx and self.ctx[-1] == "q"):
+                    line, col = _linecol(self.text, off)
+                    raise HoleOutsideQuotation(
+                        f"hole outside any quotation at {line}:{col}"
+                    )
+                self.i = i + 1
+                self.ctx.append("h")
+                body = self.term()
+                self.expect("_H", "'_H' closing a hole")
+                self.ctx.pop()
+                lhs = (_T_HOLE, body, self._opt_ann(), off)
+            else:
+                self.fail("expected a term")
+            if level == _ATOM:
+                return lhs
+            while kinds[self.i] in _ATOM_START:
+                off = starts[self.i]
+                lhs = (_T_APP, lhs, self.term(_ATOM), off)
+        while True:
+            i = self.i
+            op = kinds[i]
+            entry = _INFIX.get(op)
+            if entry is None or entry[0] < level:
+                return lhs
+            off = starts[i]
+            self.i = i + 1
+            rhs = self.term(entry[2])
+            if op == "=" and kinds[self.i] == "=":
+                self.fail("'=' does not associate; parenthesize one side")
+            lhs = (_T_APP, (_T_APP, (_T_ID, op, None, off), lhs, off), rhs, off)
+
+    def _binder(self):
+        op = self.kinds[self.i]
+        self.i += 1
         bvars = [self._bvar()]
-        while self.peek().kind == "IDENT":
+        while self.kinds[self.i] == "IDENT":
             bvars.append(self._bvar())
-        self.expect("OP", ".", what="'.' after binder variables")
+        self.expect(".", "'.' after binder variables")
         body = self.term()
-        for name, ann, pos in reversed(bvars):
-            body = PAbs(name, ann, body, pos=pos)
-            if op.text != "\\":
-                body = PApp(PIdent(op.text, None, pos=pos), body, pos=pos)
+        for name, ann, off in reversed(bvars):
+            body = (_T_ABS, name, ann, body, off)
+            if op != "\\":
+                body = (_T_APP, (_T_ID, op, None, off), body, off)
         return body
 
     def _bvar(self):
-        t = self.expect("IDENT", what="a binder variable")
-        ann = self._opt_ann()
-        return (t.text, ann, (t.line, t.col))
-
-    def _imp(self) -> PNode:
-        l = self._disj()
-        t = self.peek()
-        if t.kind == "OP" and t.text == "==>":
-            self.advance()
-            r = self._imp()
-            return self._binop("==>", l, r, t)
-        return l
-
-    def _disj(self) -> PNode:
-        l = self._conj()
-        t = self.peek()
-        if t.kind == "OP" and t.text == "\\/":
-            self.advance()
-            return self._binop("\\/", l, self._disj(), t)
-        return l
-
-    def _conj(self) -> PNode:
-        l = self._neg()
-        t = self.peek()
-        if t.kind == "OP" and t.text == "/\\":
-            self.advance()
-            return self._binop("/\\", l, self._conj(), t)
-        return l
-
-    def _neg(self) -> PNode:
-        t = self.peek()
-        if t.kind == "OP" and t.text == "~":
-            self.advance()
-            return PApp(PIdent("~", None, pos=(t.line, t.col)), self._neg(), pos=(t.line, t.col))
-        return self._eq()
-
-    def _eq(self) -> PNode:
-        l = self._comb()
-        t = self.peek()
-        if t.kind == "OP" and t.text == "=":
-            self.advance()
-            r = self._comb()
-            nxt = self.peek()
-            if nxt.kind == "OP" and nxt.text == "=":
-                self.fail("'=' does not associate; parenthesize one side")
-            return self._binop("=", l, r, t)
-        return l
-
-    def _binop(self, name, l, r, tok):
-        pos = (tok.line, tok.col)
-        return PApp(PApp(PIdent(name, None, pos=pos), l, pos=pos), r, pos=pos)
-
-    def _comb(self) -> PNode:
-        t = self.peek()
-        if t.kind == "KW" and t.text == "eval":
-            if self.ctx and self.ctx[-1] == "q":
-                self.fail("evaluation is not allowed inside a quotation")
-            self.advance()
-            body = self._app()
-            self.expect("KW", "to", what="'to' in an eval form")
-            ty = self.tyatom()
-            return PEval(body, ty, pos=(t.line, t.col))
-        return self._app()
-
-    def _app(self) -> PNode:
-        t = self.atom()
-        while self._starts_atom():
-            nxt = self.peek()
-            t = PApp(t, self.atom(), pos=(nxt.line, nxt.col))
-        return t
-
-    def _starts_atom(self) -> bool:
-        t = self.peek()
-        if t.kind in ("IDENT", "STRING", "NUMERAL"):
-            return True
-        if t.kind == "KW" and t.text in ("Q_", "H_"):
-            return True
-        return t.kind == "OP" and t.text == "("
-
-    def atom(self) -> PNode:
-        t = self.peek()
-        pos = (t.line, t.col)
-        if t.kind == "IDENT":
-            self.advance()
-            return PIdent(t.text, self._opt_ann(), pos=pos)
-        if t.kind == "NUMERAL":
-            self.advance()
-            return PNum(int(t.text), pos=pos)
-        if t.kind == "STRING":
-            self.advance()
-            return PString(t.text[1:-1], pos=pos)
-        if t.kind == "KW" and t.text == "Q_":
-            self.advance()
-            self.ctx.append("q")
-            body = self.term()
-            self.expect("KW", "_Q", what="'_Q' closing a quotation")
-            self.ctx.pop()
-            return PQuote(body, pos=pos)
-        if t.kind == "KW" and t.text == "H_":
-            if not (self.ctx and self.ctx[-1] == "q"):
-                raise HoleOutsideQuotation(
-                    f"hole outside any quotation at {t.line}:{t.col}"
-                )
-            self.advance()
-            self.ctx.append("h")
-            body = self.term()
-            self.expect("KW", "_H", what="'_H' closing a hole")
-            self.ctx.pop()
-            return PHole(body, self._opt_ann(), pos=pos)
-        if t.kind == "OP" and t.text == "(":
-            one = self.peek(1)
-            two = self.peek(2)
-            if (
-                one.kind == "OP"
-                and one.text in _OP_ATOMS
-                and two.kind == "OP"
-                and two.text == ")"
-            ):
-                self.advance()
-                self.advance()
-                self.advance()
-                return PIdent(one.text, self._opt_ann(), pos=pos)
-            self.advance()
-            body = self.term()
-            self.expect("OP", ")")
-            return body
-        self.fail("expected a term")
-
-    def _opt_ann(self) -> HolType | None:
-        t = self.peek()
-        if t.kind == "OP" and t.text == ":":
-            self.advance()
-            return self.tyatom()
-        return None
+        i = self.expect("IDENT", "a binder variable")
+        return self.texts[i], self._opt_ann(), self.starts[i]
 
 
 # ---------------------------------------------------------------------------
@@ -497,86 +412,115 @@ def _zonk(t) -> HolType:
     Terms are built only once unification is over, so a meta keeps its
     zonked solution and later occurrences share it.
     """
-    if isinstance(t, _Meta):
+    cls = type(t)
+    if cls is TypeApplication or cls is TypeVariable:
+        return t  # an interned type holds no metas
+    if cls is _Meta:
         if t.ref is None:
             raise _Unresolved
         t.ref = _zonk(t.ref)
         return t.ref
-    if isinstance(t, TypeVariable):
-        return t
-    args = []
-    changed = False
-    for a in t.arguments:
-        b = _zonk(a)
-        changed = changed or b is not a
-        args.append(b)
-    return TypeApplication(t.constructor, tuple(args)) if changed else t
+    return TypeApplication(t.constructor, tuple(_zonk(a) for a in t.arguments))
+
+
+# Type variables of each constant signature, found once per signature.
+# Signatures are interned types, which are never freed, so this table keeps
+# alive nothing that the type table does not.
+_SIGNATURE_TYVARS: dict = {}
+
+
+def _tyvars_of_signature(ty: HolType) -> tuple:
+    tvs = _SIGNATURE_TYVARS.get(ty)
+    if tvs is None:
+        tvs = _SIGNATURE_TYVARS[ty] = tuple(type_variables_in(ty))
+    return tvs
+
+
+# Elaboration turns a tree into a plan: a tuple whose first item is the
+# node's elaboration type and whose second is one of these tags.
+#   (ty, _P_CONST, name)   (ty, _P_VAR, name)   (ty, _P_BOUND, cell)
+#   (ty, _P_APP, fn plan, arg plan)   (ty, _P_NUM, value)
+#   (ty, _P_ABS, name, variable type, cell, body plan)
+#   (ty, _P_QUOTE, body plan)   (ty, _P_HOLE, plan)   (ty, _P_EVAL, plan)
+# A binder's cell is a one-item list that receives its Variable when the
+# plan is built, for the bound occurrences to share.
+_P_CONST, _P_VAR, _P_BOUND, _P_APP, _P_NUM, _P_ABS, _P_QUOTE, _P_HOLE, _P_EVAL = range(9)
 
 
 class _Elab:
-    def __init__(self):
-        self.sess = session.current()
+    def __init__(self, text):
+        self.text = text
+        self.constants = session.current().constants
+        self.eps = epsilon_ty()
         self.free = {}  # free-variable name -> elaboration type
-        self.env = []  # (name, binder id, elaboration type), innermost last
+        self.scope = {}  # bound name -> [(cell, elaboration type)], innermost last
+        self.names = []  # names of the binders in scope, innermost last
         self.trail = []
-        self.ids = itertools.count()
-        self.qdepth = 0
-        self.saved = None  # live env length at the outermost open quotation
+        self.saved = None  # len(names) at the outermost open quotation
 
-    def _unify_at(self, a, b, p, what):
+    def _at(self, off) -> str:
+        line, col = _linecol(self.text, off)
+        return f"(at {line}:{col})"
+
+    def _unify_at(self, a, b, off, what):
         try:
             _unify(a, b, self.trail)
         except _UnifyFail:
-            line, col = p.pos
-            raise ElaborationError(f"{what} (at {line}:{col})") from None
+            raise ElaborationError(f"{what} {self._at(off)}") from None
 
-    # -- terms ----------------------------------------------------------------
-
-    def elab(self, p: PNode):
-        """Return (elaboration type, build) where build(binders) makes a Term."""
-        if isinstance(p, PIdent):
+    def elab(self, p) -> tuple:
+        """The plan of tree ``p``; unifications run in tree order."""
+        tag = p[0]
+        if tag == _T_ID:
             return self._ident(p)
-        if isinstance(p, PString):
-            text = p.text
-            ty = str_ty()
-            return ty, lambda b: Constant('"' + text + '"', ty)
-        if isinstance(p, PNum):
-            return self._num(p)
-        if isinstance(p, PApp):
-            fe, fb = self.elab(p.fn)
-            ae, ab = self.elab(p.arg)
-            res = _Meta()
-            self._unify_at(
-                fe, mk_fun(ae, res), p, "operator/operand types do not agree"
-            )
-            return res, lambda b: Application(fb(b), ab(b))
-        if isinstance(p, PAbs):
+        if tag == _T_APP:
+            _, fn, arg, off = p
+            fplan = self.elab(fn)
+            aplan = self.elab(arg)
+            fe, ae = fplan[0], aplan[0]
+            if type(fe) is _Meta:
+                fe = _resolve(fe)
+            if isinstance(fe, TypeApplication) and fe.constructor == "fun":
+                dom, res = fe.arguments
+                if dom is not ae:
+                    self._unify_at(dom, ae, off, "operator/operand types do not agree")
+            else:
+                res = _Meta()
+                self._unify_at(
+                    fe, mk_fun(ae, res), off, "operator/operand types do not agree"
+                )
+            return (res, _P_APP, fplan, aplan)
+        if tag == _T_ABS:
             return self._abs(p)
-        if isinstance(p, PQuote):
-            entered = self.qdepth == 0
+        if tag == _T_STR:
+            return (str_ty(), _P_CONST, '"' + p[1] + '"')
+        if tag == _T_NUM:
+            if "_0" not in self.constants or "SUC" not in self.constants:
+                raise ElaborationError(f"no numerals in this session {self._at(p[2])}")
+            return (num_ty(), _P_NUM, p[1])
+        if tag == _T_QUOTE:
+            entered = self.saved is None
             if entered:
-                self.saved = len(self.env)
-            self.qdepth += 1
-            _, bb = self.elab(p.body)
-            self.qdepth -= 1
+                self.saved = len(self.names)
+            bplan = self.elab(p[1])
             if entered:
                 self.saved = None
-            return epsilon_ty(), lambda b: Quotation(bb(b))
-        if isinstance(p, PHole):
+            return (self.eps, _P_QUOTE, bplan)
+        if tag == _T_HOLE:
             return self._hole(p)
-        if isinstance(p, PEval):
-            ce, cb = self.elab(p.body)
-            self._unify_at(
-                ce, epsilon_ty(), p, "eval expects a construction (type epsilon)"
-            )
-            return p.ty, lambda b: Evaluation(cb(b), p.ty)
+        if tag == _T_EVAL:
+            _, body, ty, off = p
+            cplan = self.elab(body)
+            if cplan[0] is not self.eps:
+                self._unify_at(
+                    cplan[0], self.eps, off, "eval expects a construction (type epsilon)"
+                )
+            return (ty, _P_EVAL, cplan)
         raise AssertionError(f"unhandled parse node {p!r}")
 
-    def _ident(self, p: PIdent):
-        ann = p.ann
-        for name, bid, vty in reversed(self.env):
-            if name != p.name:
-                continue
+    def _ident(self, p) -> tuple:
+        _, name, ann, off = p
+        for cell, vty in reversed(self.scope.get(name, ())):
             if ann is not None:
                 mark = len(self.trail)
                 try:
@@ -584,95 +528,97 @@ class _Elab:
                 except _UnifyFail:
                     _undo(self.trail, mark)
                     continue  # annotation escapes this binder; look outward
-            return vty, (lambda b, bid=bid: b[bid])
-        generic = self.sess.constants.get(p.name)
+            return (vty, _P_BOUND, cell)
+        generic = self.constants.get(name)
         if generic is not None:
-            ety = subst_type(generic, {tv: _Meta() for tv in type_variables_in(generic)})
-            if ann is not None:
-                self._unify_at(
-                    ety, ann, p, f"annotation does not fit constant {p.name!r}"
-                )
-            name = p.name
-            return ety, lambda b: Constant(name, _zonk(ety))
-        ety = self.free.get(p.name)
+            tvs = _tyvars_of_signature(generic)
+            ety = subst_type(generic, {tv: _Meta() for tv in tvs}) if tvs else generic
+            if ann is not None and ann is not ety:
+                self._unify_at(ety, ann, off, f"annotation does not fit constant {name!r}")
+            return (ety, _P_CONST, name)
+        ety = self.free.get(name)
         if ety is None:
-            ety = _Meta()
-            self.free[p.name] = ety
-        if ann is not None:
-            self._unify_at(
-                ety, ann, p, f"conflicting types for free variable {p.name!r}"
-            )
-        name = p.name
-        return ety, lambda b: Variable(name, _zonk(ety))
+            ety = self.free[name] = ann if ann is not None else _Meta()
+        elif ann is not None:
+            self._unify_at(ety, ann, off, f"conflicting types for free variable {name!r}")
+        return (ety, _P_VAR, name)
 
-    def _num(self, p: PNum):
-        if "_0" not in self.sess.constants or "SUC" not in self.sess.constants:
-            line, col = p.pos
-            raise ElaborationError(f"no numerals in this session (at {line}:{col})")
-        value = p.value
+    def _abs(self, p) -> tuple:
+        _, name, ann, body, off = p
+        if name in self.constants:
+            raise ParseError(f"binder variable {name!r} shadows a constant {self._at(off)}")
+        vty = ann if ann is not None else _Meta()
+        cell = [None]
+        self.scope.setdefault(name, []).append((cell, vty))
+        self.names.append(name)
+        bplan = self.elab(body)
+        self.names.pop()
+        self.scope[name].pop()
+        return (mk_fun(vty, bplan[0]), _P_ABS, name, vty, cell, bplan)
 
-        def build(b):
-            t: Term = Constant("_0", num_ty())
-            suc = Constant("SUC", mk_fun(num_ty(), num_ty()))
-            for _ in range(value):
-                t = Application(suc, t)
-            return t
-
-        return num_ty(), build
-
-    def _abs(self, p: PAbs):
-        if p.name in self.sess.constants:
-            line, col = p.pos
-            raise ParseError(
-                f"binder variable {p.name!r} shadows a constant (at {line}:{col})"
-            )
-        vty = p.ann if p.ann is not None else _Meta()
-        bid = next(self.ids)
-        self.env.append((p.name, bid, vty))
-        be, bb = self.elab(p.body)
-        self.env.pop()
-        name = p.name
-
-        def build(b, bid=bid, vty=vty, bb=bb, name=name):
-            v = Variable(name, _zonk(vty))
-            b[bid] = v
-            return Abstraction(v, bb(b))
-
-        return mk_fun(vty, be), build
-
-    def _hole(self, p: PHole):
-        # Hole contents live outside the quotation: resolve identifiers
-        # against the scope that was current where the quotation began.
-        save_env, save_q, save_s = self.env, self.qdepth, self.saved
-        self.env = list(self.env[: self.saved])
-        self.qdepth = 0
+    def _hole(self, p) -> tuple:
+        # Hole contents live outside the quotation: the binders entered since
+        # the outermost open quotation began are out of scope in them.
+        _, body, ann, off = p
+        saved, names, scope = self.saved, self.names, self.scope
+        hidden = names[saved:]
+        del names[saved:]
+        entries = [scope[n].pop() for n in reversed(hidden)]
         self.saved = None
-        try:
-            ce, cb = self.elab(p.body)
-        finally:
-            self.env, self.qdepth, self.saved = save_env, save_q, save_s
-        self._unify_at(
-            ce, epsilon_ty(), p, "hole content must be a construction (type epsilon)"
-        )
-        slot = p.ann if p.ann is not None else _Meta()
-        return slot, lambda b: Hole(cb(b), _zonk(slot))
+        cplan = self.elab(body)
+        self.saved = saved
+        for n, entry in zip(hidden, reversed(entries)):
+            scope[n].append(entry)
+        names.extend(hidden)
+        if cplan[0] is not self.eps:
+            self._unify_at(
+                cplan[0], self.eps, off, "hole content must be a construction (type epsilon)"
+            )
+        return (ann if ann is not None else _Meta(), _P_HOLE, cplan)
+
+
+def _build(plan) -> Term:
+    """The kernel term of an elaborated plan; parts are built left to right."""
+    tag = plan[1]
+    if tag == _P_APP:
+        return Application(_build(plan[2]), _build(plan[3]))
+    if tag == _P_BOUND:
+        return plan[2][0]
+    if tag == _P_CONST:
+        return Constant(plan[2], _zonk(plan[0]))
+    if tag == _P_VAR:
+        return Variable(plan[2], _zonk(plan[0]))
+    if tag == _P_ABS:
+        _, _, name, vty, cell, bplan = plan
+        v = cell[0] = Variable(name, _zonk(vty))
+        return Abstraction(v, _build(bplan))
+    if tag == _P_NUM:
+        t: Term = Constant("_0", num_ty())
+        suc = Constant("SUC", mk_fun(num_ty(), num_ty()))
+        for _ in range(plan[2]):
+            t = Application(suc, t)
+        return t
+    if tag == _P_QUOTE:
+        return Quotation(_build(plan[2]))
+    if tag == _P_HOLE:
+        return Hole(_build(plan[2]), _zonk(plan[0]))
+    return Evaluation(_build(plan[2]), plan[0])
 
 
 def parse_type(text: str) -> HolType:
-    par = _Parser(_lex(text), text)
+    par = _Parser(text)
     ty = par.type_()
     par.expect_eof()
     return ty
 
 
 def parse_term(text: str) -> Term:
-    par = _Parser(_lex(text), text)
-    p = par.term()
+    par = _Parser(text)
+    tree = par.term()
     par.expect_eof()
-    el = _Elab()
-    _, build = el.elab(p)
+    plan = _Elab(text).elab(tree)
     try:
-        return build({})
+        return _build(plan)
     except _Unresolved:
         raise ElaborationError(
             "could not infer a unique type; add an annotation"
@@ -682,16 +628,6 @@ def parse_term(text: str) -> Term:
 # ---------------------------------------------------------------------------
 # printer
 # ---------------------------------------------------------------------------
-
-_TERM, _IMP, _DISJ, _CONJ, _NEG, _EQ, _COMB, _APP, _ATOM = range(9)
-
-# name -> (level, left operand level, right operand level)
-_INFIX = {
-    "==>": (_IMP, _DISJ, _IMP),
-    "\\/": (_DISJ, _CONJ, _DISJ),
-    "/\\": (_CONJ, _NEG, _CONJ),
-    "=": (_EQ, _COMB, _COMB),
-}
 
 _SYMBOLIC = frozenset(_OP_ATOMS)
 

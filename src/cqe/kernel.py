@@ -347,6 +347,12 @@ def _vsubst(t: Term, theta: dict, registry, used) -> Term:
         return theta.get(t, t)
     if isinstance(t, Constant):
         return t
+    # An eval-free subterm whose free-variable set, once known, misses every
+    # substituted variable is unchanged.  A term with an evaluation is not:
+    # substitution still suspends there or asks the registry.
+    fv = getattr(t, "_fv", None)
+    if fv is not None and t.eval_free and theta.keys().isdisjoint(fv):
+        return t
     if isinstance(t, Application):
         fn = _vsubst(t.fn, theta, registry, used)
         arg = _vsubst(t.arg, theta, registry, used)

@@ -133,6 +133,25 @@ def test_too_deep_input_is_a_typed_error(tmp_path, capsys, term):
     assert "Traceback" not in err
 
 
+def test_nested_parentheses_within_the_depth_limit_check(tmp_path, capsys):
+    term = "(" * 400 + "T" + ")" * 400
+    path = write(tmp_path, f"thm r := (REFL `{term}`)\ncheck r matches `T = T`\n")
+    assert main(["check", path]) == 0
+    assert "ok: 2 commands, 1 checks" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fmt", ["sexp", "json-like"])
+def test_export_of_a_too_deep_theorem_is_a_typed_error(tmp_path, capsys, fmt):
+    conj = " /\\ ".join(["(v0:num = v0)"] * 500)
+    path = write(tmp_path, f"# deep\nthm r := (REFL `{conj}`)\n")
+    assert main(["check", path]) == 0
+    capsys.readouterr()
+    out = str(tmp_path / "out.txt")
+    assert main(["export", path, "--out", out, "--format", fmt]) == 1
+    err = capsys.readouterr().err
+    assert err == f"{path}:2: error: input is nested too deeply\n"
+
+
 def test_unknown_rule_rejected(tmp_path, capsys):
     path = write(tmp_path, "thm r := (FROBNICATE `T`)\n")
     assert main(["check", path]) == 1

@@ -23,7 +23,16 @@ from cqe.frontend import (
     tree_to_type,
     type_to_tree,
 )
-from cqe.kernel import ASSUME, mk_conj, mk_eq
+from cqe.kernel import (
+    ASSUME,
+    mk_conj,
+    mk_disj,
+    mk_eq,
+    mk_exists,
+    mk_forall,
+    mk_imp,
+    mk_neg,
+)
 from cqe.syntax import (
     Abstraction,
     Application,
@@ -236,6 +245,178 @@ def test_naked_hole_rejected():
 def test_binder_cannot_shadow_constant():
     with pytest.raises(ParseError):
         parse_term("\\T:bool. T")
+
+
+# Observable parser behaviour, pinned: every malformed input's exception
+# class, exact message and span start (None where the error has no span).
+_MALFORMED = [
+    ("(T /\\ F", ParseError, "expected ) (at 'end of input', 1:7)", (1, 7)),
+    ("(~ T", ParseError, "expected ) (at 'end of input', 1:4)", (1, 4)),
+    ("T /\\ F)", ParseError, "unexpected trailing input (at ')', 1:6)", (1, 6)),
+    ("(T))", ParseError, "unexpected trailing input (at ')', 1:3)", (1, 3)),
+    ("T /\\", ParseError, "expected a term (at 'end of input', 1:4)", (1, 4)),
+    ("T /\\ /\\ F", ParseError, "expected a term (at '/\\\\', 1:5)", (1, 5)),
+    ("~", ParseError, "expected a term (at 'end of input', 1:1)", (1, 1)),
+    ("", ParseError, "expected a term (at 'end of input', 1:0)", (1, 0)),
+    (
+        "x:bool = y:bool = z:bool",
+        ParseError,
+        "'=' does not associate; parenthesize one side (at '=', 1:16)",
+        (1, 16),
+    ),
+    ("_Q", ParseError, "expected a term (at '_Q', 1:0)", (1, 0)),
+    ("_H", ParseError, "expected a term (at '_H', 1:0)", (1, 0)),
+    ("Q_ T", ParseError, "expected '_Q' closing a quotation (at 'end of input', 1:4)", (1, 4)),
+    ("Q_ T _Q _Q", ParseError, "unexpected trailing input (at '_Q', 1:8)", (1, 8)),
+    (
+        "Q_ eval x:epsilon to bool _Q",
+        ParseError,
+        "evaluation is not allowed inside a quotation (at 'eval', 1:3)",
+        (1, 3),
+    ),
+    ("H_ c:epsilon _H:bool", HoleOutsideQuotation, "hole outside any quotation at 1:0", None),
+    (
+        "Q_ H_ H_ c:epsilon _H:bool _H:bool _Q",
+        HoleOutsideQuotation,
+        "hole outside any quotation at 1:6",
+        None,
+    ),
+    ("x:", ParseError, "expected a type (at 'end of input', 1:2)", (1, 2)),
+    ("x:(bool", ParseError, "expected ) (at 'end of input', 1:7)", (1, 7)),
+    ("x:foo", ParseError, "unknown type constructor: 'foo' (at 'foo', 1:2)", (1, 2)),
+    (
+        "x:fun",
+        ParseError,
+        "type constructor 'fun' expects 2 argument(s), got 0 (at 'fun', 1:2)",
+        (1, 2),
+    ),
+    ("(T):bool", ParseError, "unexpected trailing input (at ':', 1:3)", (1, 3)),
+    ("T $ F", ParseError, "unexpected character '$'", (1, 2)),
+    ("T\n  F $", ParseError, "unexpected character '$'", (2, 4)),
+    ("x:bool\n/\\ ", ParseError, "expected a term (at 'end of input', 2:3)", (2, 3)),
+    ("\\. x:bool", ParseError, "expected a binder variable (at '.', 1:1)", (1, 1)),
+    ("!x:bool x", ParseError, "expected '.' after binder variables (at 'end of input', 1:9)", (1, 9)),
+    ("T /\\ !x:bool. x", ParseError, "expected a term (at '!', 1:5)", (1, 5)),
+    ("x:bool ==> !y:bool. y", ParseError, "expected a term (at '!', 1:11)", (1, 11)),
+    ("p:bool = ~q:bool", ParseError, "expected a term (at '~', 1:9)", (1, 9)),
+    ("x:bool ~ y:bool", ParseError, "unexpected trailing input (at '~', 1:7)", (1, 7)),
+    ("eval x:epsilon bool", ParseError, "expected 'to' in an eval form (at 'end of input', 1:19)", (1, 19)),
+    (
+        "eval eval c:epsilon to epsilon to bool",
+        ParseError,
+        "expected a term (at 'eval', 1:5)",
+        (1, 5),
+    ),
+    (
+        "f:(bool->bool) eval c:epsilon to bool",
+        ParseError,
+        "unexpected trailing input (at 'eval', 1:15)",
+        (1, 15),
+    ),
+    ("\\T:bool. T", ParseError, "binder variable 'T' shadows a constant (at 1:1)", None),
+    (
+        "x:bool /\\ (x:num = x:num)",
+        ElaborationError,
+        "conflicting types for free variable 'x' (at 1:11)",
+        None,
+    ),
+    ("T:num", ElaborationError, "annotation does not fit constant 'T' (at 1:0)", None),
+    ("x:'a = y:'b", ElaborationError, "operator/operand types do not agree (at 1:5)", None),
+    ("eval c:bool to bool", ElaborationError, "eval expects a construction (type epsilon) (at 1:0)", None),
+    (
+        "Q_ H_ T _H _Q",
+        ElaborationError,
+        "hole content must be a construction (type epsilon) (at 1:3)",
+        None,
+    ),
+    ("?x y. x = y", ElaborationError, "could not infer a unique type; add an annotation", None),
+]
+
+
+@pytest.mark.parametrize("text, exc, message, start", _MALFORMED)
+def test_malformed_input_message_and_span(text, exc, message, start):
+    with pytest.raises(exc) as info:
+        parse_term(text)
+    assert type(info.value) is exc
+    assert str(info.value) == message
+    span = getattr(info.value, "span", None)
+    assert (span.start if span is not None else None) == start
+
+
+def _bv(name, ty=None):
+    return Variable(name, ty or bool_ty())
+
+
+# text -> the term it must denote, built without the parser
+_STRUCTURE = [
+    ("p:bool /\\ q:bool /\\ r:bool", lambda: mk_conj(_bv("p"), mk_conj(_bv("q"), _bv("r")))),
+    ("p:bool \\/ q:bool \\/ r:bool", lambda: mk_disj(_bv("p"), mk_disj(_bv("q"), _bv("r")))),
+    ("p:bool ==> q:bool ==> r:bool", lambda: mk_imp(_bv("p"), mk_imp(_bv("q"), _bv("r")))),
+    (
+        "p:bool /\\ q:bool \\/ r:bool ==> s:bool",
+        lambda: mk_imp(mk_disj(mk_conj(_bv("p"), _bv("q")), _bv("r")), _bv("s")),
+    ),
+    (
+        "p:bool ==> q:bool \\/ r:bool /\\ s:bool",
+        lambda: mk_imp(_bv("p"), mk_disj(_bv("q"), mk_conj(_bv("r"), _bv("s")))),
+    ),
+    ("~p:bool /\\ q:bool", lambda: mk_conj(mk_neg(_bv("p")), _bv("q"))),
+    ("~p:bool = q:bool", lambda: mk_neg(mk_eq(_bv("p"), _bv("q")))),
+    ("~ ~p:bool", lambda: mk_neg(mk_neg(_bv("p")))),
+    ("p:bool = q:bool /\\ r:bool", lambda: mk_conj(mk_eq(_bv("p"), _bv("q")), _bv("r"))),
+    (
+        "f:(bool->bool) p:bool = q:bool",
+        lambda: mk_eq(Application(_bv("f", mk_fun(bool_ty(), bool_ty())), _bv("p")), _bv("q")),
+    ),
+    (
+        "f:(bool->bool->bool) p:bool q:bool",
+        lambda: Application(
+            Application(_bv("f", mk_fun(bool_ty(), mk_fun(bool_ty(), bool_ty()))), _bv("p")),
+            _bv("q"),
+        ),
+    ),
+    ("!x:bool. x /\\ p:bool", lambda: mk_forall(_bv("x"), mk_conj(_bv("x"), _bv("p")))),
+    (
+        "!x:bool. ?y:bool. x ==> y",
+        lambda: mk_forall(_bv("x"), mk_exists(_bv("y"), mk_imp(_bv("x"), _bv("y")))),
+    ),
+    ("\\x:bool y:bool. x", lambda: Abstraction(_bv("x"), Abstraction(_bv("y"), _bv("x")))),
+    ("\\x:bool. x = x", lambda: Abstraction(_bv("x"), mk_eq(_bv("x"), _bv("x")))),
+    ("(\\x:bool. x) p:bool", lambda: Application(Abstraction(_bv("x"), _bv("x")), _bv("p"))),
+    ("p:bool /\\ (!x:bool. x)", lambda: mk_conj(_bv("p"), mk_forall(_bv("x"), _bv("x")))),
+    (
+        "eval c:epsilon to bool /\\ p:bool",
+        lambda: mk_conj(Evaluation(_bv("c", epsilon_ty()), bool_ty()), _bv("p")),
+    ),
+    (
+        "eval c:epsilon to bool = p:bool",
+        lambda: mk_eq(Evaluation(_bv("c", epsilon_ty()), bool_ty()), _bv("p")),
+    ),
+    ("Q_ p:bool /\\ q:bool _Q", lambda: Quotation(mk_conj(_bv("p"), _bv("q")))),
+    (
+        "\\x:bool. \\x:num. x",
+        lambda: Abstraction(_bv("x"), Abstraction(_bv("x", num_ty()), _bv("x", num_ty()))),
+    ),
+    # an annotation that does not fit the inner binder refers outward
+    (
+        "\\x:bool. \\x:num. x:bool",
+        lambda: Abstraction(_bv("x"), Abstraction(_bv("x", num_ty()), _bv("x"))),
+    ),
+    # a hole sees the scope where its quotation began, not quoted binders
+    (
+        "\\c:epsilon. Q_ \\c:bool. H_ c _H:bool _Q",
+        lambda: Abstraction(
+            _bv("c", epsilon_ty()),
+            Quotation(Abstraction(_bv("c"), Hole(_bv("c", epsilon_ty()), bool_ty()))),
+        ),
+    ),
+    ("!x. x", lambda: mk_forall(_bv("x"), _bv("x"))),
+]
+
+
+@pytest.mark.parametrize("text, expected", _STRUCTURE, ids=[t for t, _ in _STRUCTURE])
+def test_precedence_associativity_and_scope(text, expected):
+    assert term_to_tree(parse_term(text)) == term_to_tree(expected())
 
 
 def test_hole_content_sees_outer_scope_not_quoted_binders():

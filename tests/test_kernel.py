@@ -72,6 +72,7 @@ from cqe.syntax import (
     Quotation,
     TypeVariable,
     Variable,
+    _frees,
     alpha_equivalent,
     bool_ty,
     epsilon_ty,
@@ -230,6 +231,30 @@ def test_vsubst_suspends_on_evaluation():
     # substituting for the evaluation's own free variable suspends too
     out2 = vsubst([(c, Quotation(T))], e)
     assert out2 == Application(Abstraction(c, e), Quotation(T))
+
+
+def test_vsubst_returns_an_eval_free_term_without_the_variable_at_once(monkeypatch):
+    from cqe import kernel
+
+    x, y, z = bv("x"), bv("y"), bv("z")
+    t = mk_conj(Application(Abstraction(y, y), T), mk_imp(T, mk_conj(z, F)))
+    free_variables(t)  # memoises the free-variable sets
+    calls = []
+    walk = kernel._vsubst
+    monkeypatch.setattr(kernel, "_vsubst", lambda s, *args: calls.append(s) or walk(s, *args))
+    used = []
+    assert vsubst([(x, F)], t, used=used) is t
+    assert used == []
+    assert calls == [t]  # the root only; no subterm was visited
+
+
+def test_vsubst_still_suspends_on_an_evaluation_without_the_variable():
+    x, c = bv("x"), ev("c")
+    e = Evaluation(c, bool_ty())
+    t = mk_conj(e, T)
+    assert x not in _frees(t)  # memoised on t and e, and missing x
+    assert vsubst([(x, F)], e) == Application(Abstraction(x, e), F)
+    assert vsubst([(x, F)], t) == mk_conj(Application(Abstraction(x, e), F), T)
 
 
 def test_vsubst_multi_binding_evaluation_ordering():
