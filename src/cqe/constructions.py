@@ -2,9 +2,15 @@
 
 Terms of type ``epsilon`` built from the constructor constants below are
 *constructions* — object-level syntax trees.  This module installs those
-constants, maps terms and types to the constructions denoting them, decodes
-constructions back to terms where possible, and provides the meta-level
+constants, maps terms and types to the constructions denoting them, reads
+back the term a closed construction denotes, and provides the meta-level
 predicates the trusted conversions certify.
+
+``construction_to_term`` (``type_from_construction`` for types) is the one
+reader of what a closed construction denotes.  Of its errors, ``Improper``
+(no well-formed term is denoted, and that cannot change) is a verdict, while
+``NotAConstruction`` (a part that cannot be read) and ``UnknownName`` (a
+name the session does not know yet) are refusals.
 
 Names of variables, constants, and type constructors are carried by *name
 literals*: a quoted token like ``"bool"`` is a constant of type ``str`` that
@@ -22,6 +28,7 @@ from .errors import (
     NotAConstruction,
     NotAVariable,
     NotEvalFree,
+    UnknownName,
     UnsupportedArity,
 )
 from .syntax import (
@@ -212,72 +219,79 @@ def _encode(t: Term, splice: bool, types: dict) -> Term:
 # ---------------------------------------------------------------------------
 
 
-def _is_constructor_normal(t: Term) -> bool:
+def _whnf(t: Term):
+    """The head and arguments of t once the beta redexes on its spine are
+    reduced.  An evaluation is refused first: ``vsubst`` suspends a redex
+    whose body holds one, so reducing it would never end.
+    """
+    if not t.eval_free:
+        raise NotAConstruction(f"an evaluation has no construction value: {t!r}")
     head, args = strip_application(t)
-    params = _PARAMS.get(head.name) if isinstance(head, Constant) else None
-    if params is None or len(args) != len(params):
-        return False
-    for p, a in zip(params, args):
-        if p == "str":
-            if not (isinstance(a, Constant) and a.name.startswith('"')):
-                return False
-        elif not _is_constructor_normal(a):
-            return False
-    return True
+    while args and isinstance(head, Abstraction):
+        from .kernel import vsubst  # the kernel imports this module
+
+        head, rest = strip_application(vsubst(((head.var, args[0]),), head.body))
+        args = rest + args[1:]
+    return head, args
+
+
+def _formed(build, *parts):
+    # A name the session does not know yet may be declared later, so that
+    # refusal passes through; every other formation error is permanent.
+    try:
+        return build(*parts)
+    except UnknownName:
+        raise
+    except KernelError as e:
+        raise Improper(f"construction denotes nothing: {e}") from e
 
 
 def type_from_construction(c: Term) -> HolType:
-    head, args = strip_application(c)
-    if not (isinstance(head, Constant) and head.name in _TYPE_PARAMS):
+    """The type that c denotes; accepts and refuses as construction_to_term."""
+    head, args = _whnf(c)
+    con = head.name if isinstance(head, Constant) else None
+    if con not in _TYPE_PARAMS or len(args) != len(_TYPE_PARAMS[con]):
         raise NotAConstruction(f"not a type construction: {c!r}")
-    if len(args) < len(_TYPE_PARAMS[head.name]):
-        raise NotAConstruction(f"underapplied type constructor: {c!r}")
-    try:
-        name = dest_name_literal(args[0])
-        if head.name == "TyVar":
-            return TypeVariable(name)
-        tys = []
-        for a in args[1:]:
-            tys.append(type_from_construction(a))
-        return TypeApplication(name, tuple(tys))
-    except Improper:
-        raise
-    except KernelError as e:
-        raise Improper(f"type construction denotes no type: {e}") from e
+    name = dest_name_literal(_whnf(args[0])[0])
+    if con == "TyVar":
+        return _formed(TypeVariable, name)
+    tys = tuple(map(type_from_construction, args[1:]))
+    return _formed(TypeApplication, name, tys)
 
 
 def construction_to_term(c: Term) -> Term:
-    """Decode a construction to the term it denotes.
+    """The term that the closed construction c denotes.
 
-    Partial: raises Improper when the construction is syntactically a
-    constructor tree but denotes no well-formed term (ill-typed application,
-    abstraction of a non-variable, unknown constant), and NotAConstruction
-    when the input is not a constructor tree at all.
+    Accepts any eval-free term of type epsilon whose value can be read
+    node by node: spine beta redexes are reduced first, a hole-free
+    quotation gives its body as it is, a quotation with holes is read
+    through ``expand_quasiquote``, and a constructor applied to all of its
+    arguments gives the node built from what they denote.
+
+    Raises Improper when c denotes no well-formed term: an ill-typed
+    application, a constant at a type that is not an instance of its
+    generic type, a type constructor at the wrong arity, an empty name.
+    These are verdicts.  Raises NotAConstruction when a part has no value
+    that can be read, and UnknownName when a part names a constant or type
+    constructor the session does not know yet.  These are refusals.
     """
-    if not _is_constructor_normal(c):
-        raise NotAConstruction(f"not in constructor form: {c!r}")
-    return _decode(c)
-
-
-def _decode(c: Term) -> Term:
-    head, args = strip_application(c)
-    cls = _NODE_OF.get(head.name)
-    if cls is None:
+    head, args = _whnf(c)
+    if isinstance(head, Quotation):
+        if head.has_hole:
+            return construction_to_term(expand_quasiquote(head))
+        return head.body
+    con = head.name if isinstance(head, Constant) else None
+    if con not in _NODE_OF or len(args) != len(_PARAMS[con]):
         raise NotAConstruction(f"not a construction: {c!r}")
-    try:
-        parts = []
-        for kind, a in zip(_PARAMS[head.name], args):
-            if kind == "str":
-                parts.append(dest_name_literal(a))
-            elif kind == "type":
-                parts.append(type_from_construction(a))
-            else:
-                parts.append(_decode(a))
-        return cls(*parts)
-    except Improper:
-        raise
-    except KernelError as e:
-        raise Improper(f"construction denotes no term: {e}") from e
+    parts = []
+    for kind, a in zip(_PARAMS[con], args):
+        if kind == "str":
+            parts.append(dest_name_literal(_whnf(a)[0]))
+        elif kind == "type":
+            parts.append(type_from_construction(a))
+        else:
+            parts.append(construction_to_term(a))
+    return _formed(_NODE_OF[con], *parts)
 
 
 def is_proper(c: Term) -> bool:
@@ -296,15 +310,13 @@ def is_proper(c: Term) -> bool:
 def is_expr_type_meta(c: Term, tyc: Term) -> bool:
     """Does construction c denote a term of the type that tyc denotes?
 
-    Malformed or improper inputs yield False rather than an error: the
-    object-level predicate is total.
+    An improper construction denotes no term, so the answer is False; an
+    argument that cannot be read is refused as in construction_to_term.
     """
     try:
-        t = construction_to_term(c)
-        ty = type_from_construction(tyc)
-    except (Improper, NotAConstruction):
+        return construction_to_term(c).ty == type_from_construction(tyc)
+    except Improper:
         return False
-    return t.ty == ty
 
 
 def is_free_in_meta(xc: Term, bc: Term) -> bool:
@@ -315,16 +327,15 @@ def is_free_in_meta(xc: Term, bc: Term) -> bool:
     the quoted syntax can be disquoted later and the occurrence then becomes
     live.  A variable bound by a live abstraction does not count.
     """
-    head, args = strip_application(xc)
-    if not (isinstance(head, Constant) and head.name == "QuoVar") or len(args) != 2:
-        raise NotAVariable("first argument must denote a variable")
     try:
-        v = _decode(xc)
+        v = construction_to_term(xc)
     except Improper as e:
         raise NotAVariable(f"first argument denotes no variable: {e}") from e
+    if not isinstance(v, Variable):
+        raise NotAVariable("first argument must denote a variable")
     try:
         b = construction_to_term(bc)
-    except (Improper, NotAConstruction):
+    except Improper:
         return False
     return _occurs(v, b, True)
 

@@ -12,7 +12,11 @@ The module also hosts the trusted conversions: decision procedures for the
 syntactic predicates (is-expression-of-type, is-free-in, the arithmetic
 language tests) and for evaluating closed constructions.  These do real
 computation outside the kernel, so every theorem they produce is branded with
-the conversion's name in its ``trusted`` field.
+the conversion's name in its ``trusted`` field.  Each passes its closed,
+eval-free arguments unchanged to ``constructions.construction_to_term``: an
+improper construction is decided False (``EVAL_CONV`` refuses it), and an
+argument that cannot be read as a construction, or that names something the
+session does not know, is refused with no theorem.
 """
 
 from __future__ import annotations
@@ -27,18 +31,15 @@ from .constructions import (
     apply_terms,
     construction_to_term,
     constructor_constant,
-    expand_quasiquote,
     is_expr_type_meta,
     is_free_in_meta,
     strip_application,
-    term_to_construction,
 )
 from .errors import (
     ContainsHole,
     IllTyped,
     Improper,
     KernelError,
-    NotAConstruction,
     NotClosed,
     NotEvalFree,
     TypeMismatch,
@@ -73,14 +74,12 @@ from .kernel import (
     new_basic_definition,
     new_constant,
     trusted_theorem,
-    vsubst,
 )
 from .syntax import (
     Abstraction,
     Application,
     Constant,
     Evaluation,
-    Quotation,
     Term,
     TypeVariable,
     Variable,
@@ -598,45 +597,6 @@ def arithmetic_base(s) -> Theorem:
 # ---------------------------------------------------------------------------
 
 
-def _whnf(t: Term) -> Term:
-    while isinstance(t, Application):
-        head, args = strip_application(t)
-        if isinstance(head, Abstraction) and args:
-            reduced = vsubst(((head.var, args[0]),), head.body)
-            t = apply_terms(reduced, args[1:])
-        else:
-            break
-    return t
-
-
-def _value_norm(t: Term) -> Term:
-    """Normalize a closed, eval-free term to constructor form.
-
-    Quotations become the constructions they denote (holes spliced first),
-    and beta redexes are reduced; anything else that survives is not a
-    construction value.
-    """
-    t = _whnf(t)
-    if isinstance(t, Quotation):
-        if t.has_hole:
-            return _value_norm(expand_quasiquote(t))
-        return term_to_construction(t.body)
-    if isinstance(t, Constant):
-        return t
-    if isinstance(t, Application):
-        head, args = strip_application(t)
-        if isinstance(head, Constant):
-            return apply_terms(head, [_value_norm(a) for a in args])
-        raise NotAConstruction(
-            f"irreducible non-constructor head: {type(head).__name__}"
-        )
-    if isinstance(t, Variable):
-        raise NotClosed(f"free variable {t.name} has no construction value")
-    if isinstance(t, Evaluation):
-        raise NotEvalFree("cannot compute the value of an evaluation")
-    raise NotAConstruction(f"no construction value for {type(t).__name__}")
-
-
 def _conv_input(t: Term, role: str, expected=None) -> None:
     if expected is not None and t.ty != expected:
         raise IllTyped(f"{role} must have type {expected!r}, got {t.ty!r}")
@@ -653,7 +613,7 @@ def IS_EXPR_TYPE_CONV(c: Term, tyc: Term) -> Theorem:
     """Decide whether a closed construction denotes a term of a stated type."""
     _conv_input(c, "the construction argument", epsilon_ty())
     _conv_input(tyc, "the type-construction argument", type_ty())
-    verdict = is_expr_type_meta(_value_norm(c), _value_norm(tyc))
+    verdict = is_expr_type_meta(c, tyc)
     head = Constant("isExprType", mk_fun(epsilon_ty(), mk_fun(type_ty(), bool_ty())))
     stmt = apply_terms(head, [c, tyc])
     return trusted_theorem(stmt if verdict else mk_neg(stmt), "IS_EXPR_TYPE_CONV")
@@ -663,7 +623,7 @@ def IS_FREE_IN_CONV(xc: Term, bc: Term) -> Theorem:
     """Decide whether a quoted variable is free in a quoted expression."""
     _conv_input(xc, "the variable construction", epsilon_ty())
     _conv_input(bc, "the expression construction", epsilon_ty())
-    verdict = is_free_in_meta(_value_norm(xc), _value_norm(bc))
+    verdict = is_free_in_meta(xc, bc)
     stmt = mk_is_free_in(xc, bc)
     return trusted_theorem(stmt if verdict else mk_neg(stmt), "IS_FREE_IN_CONV")
 
@@ -671,15 +631,14 @@ def IS_FREE_IN_CONV(xc: Term, bc: Term) -> Theorem:
 def EVAL_CONV(e: Term) -> Theorem:
     """Compute a closed evaluation: |- eval c to ty = t.
 
-    The content is normalized to a construction, decoded, and checked to
-    have the stated type.  The decoded term may well be open — disquotation
-    of a quoted variable is the canonical example.
+    The content is read by ``construction_to_term`` and the term it denotes
+    checked to have the stated type.  That term may well be open —
+    disquotation of a quoted variable is the canonical example.
     """
     if not isinstance(e, Evaluation):
         raise WrongShape("EVAL_CONV expects an evaluation")
     _conv_input(e.content, "the evaluated construction")
-    value = _value_norm(e.content)
-    t = construction_to_term(value)
+    t = construction_to_term(e.content)
     if t.ty != e.result_type:
         raise TypeMismatch(
             f"construction denotes a term of type {t.ty!r}, "
@@ -714,19 +673,13 @@ def _arith_term_ok(t: Term, allow_mul: bool) -> bool:
     return False
 
 
-def _represents_arith_predicate(value: Term, allow_mul: bool) -> bool:
-    try:
-        t = construction_to_term(value)
-    except (Improper, NotAConstruction):
-        return False
-    if t.ty != mk_fun(num_ty(), bool_ty()):
-        return False
-    return _arith_term_ok(t, allow_mul)
-
-
 def _arith_conv(c: Term, const_name: str, allow_mul: bool, tag: str) -> Theorem:
     _conv_input(c, "the construction argument", epsilon_ty())
-    verdict = _represents_arith_predicate(_value_norm(c), allow_mul)
+    try:
+        t = construction_to_term(c)
+        verdict = t.ty == mk_fun(num_ty(), bool_ty()) and _arith_term_ok(t, allow_mul)
+    except Improper:
+        verdict = False
     stmt = Application(
         Constant(const_name, mk_fun(epsilon_ty(), bool_ty())), c
     )
@@ -745,7 +698,9 @@ def IS_PRESBURGER_CONV(c: Term) -> Theorem:
 
 def _pred_type_theorem(const_name: str, tag: str) -> Theorem:
     c = Variable("c", epsilon_ty())
-    stmt = Application(Constant(const_name, mk_fun(epsilon_ty(), bool_ty())), c)
+    stmt = Application(
+        Constant(const_name, mk_fun(epsilon_ty(), bool_ty())), c
+    )
     concl = mk_forall(
         c, mk_imp(stmt, mk_is_expr_type(c, mk_fun(num_ty(), bool_ty())))
     )

@@ -152,6 +152,37 @@ def test_export_of_a_too_deep_theorem_is_a_typed_error(tmp_path, capsys, fmt):
     assert err == f"{path}:2: error: input is nested too deeply\n"
 
 
+
+def test_a_constant_without_a_construction_value_is_refused(tmp_path, capsys):
+    # kax is satisfiable, so a verdict on k would let SUBS prove F
+    path = write(
+        tmp_path,
+        "constant k : epsilon\n"
+        "axiom kax := `k = Q_ T _Q`\n"
+        'thm no := (IS_EXPR_TYPE_CONV `k` `TyBase "bool"`)\n'
+        'thm yes := (IS_EXPR_TYPE_CONV `Q_ T _Q` `TyBase "bool"`)\n'
+        "thm f := (MP (NOT_ELIM (SUBS kax no)) yes)\n"
+        "check f matches `F`\n",
+    )
+    assert main(["check", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}:3: error: IS_EXPR_TYPE_CONV: NotAConstruction: ")
+
+
+def test_a_constant_not_yet_declared_is_refused(tmp_path, capsys):
+    # declaring k later would flip a verdict made now
+    path = write(
+        tmp_path,
+        'thm no := (IS_EXPR_TYPE_CONV `QuoConst "k" (TyBase "bool")` `TyBase "bool"`)\n'
+        "constant k : bool\n"
+        'thm yes := (IS_EXPR_TYPE_CONV `QuoConst "k" (TyBase "bool")` `TyBase "bool"`)\n'
+        "thm f := (MP (NOT_ELIM no) yes)\n"
+        "check f matches `F`\n",
+    )
+    assert main(["check", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}:1: error: IS_EXPR_TYPE_CONV: UnknownName: ")
+
 def test_unknown_rule_rejected(tmp_path, capsys):
     path = write(tmp_path, "thm r := (FROBNICATE `T`)\n")
     assert main(["check", path]) == 1

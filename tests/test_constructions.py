@@ -235,6 +235,24 @@ def test_decoding_rejects_improper_constructions():
     assert is_proper(tru)
 
 
+
+def test_a_hole_free_quotation_decodes_to_its_own_body():
+    gen = TermGen(seed=43)
+    for _ in range(100):
+        t = gen.eval_free(depth=3)
+        assert construction_to_term(Quotation(t)) is t
+
+
+def test_decoding_refuses_an_evaluation_before_reducing():
+    # vsubst suspends this redex, so reducing it first would never end
+    x = Variable("x", epsilon_ty())
+    redex = Application(
+        Abstraction(x, Evaluation(x, epsilon_ty())),
+        Quotation(Constant("T", bool_ty())),
+    )
+    with pytest.raises(NotAConstruction):
+        construction_to_term(redex)
+
 def test_name_literals():
     assert dest_name_literal(name_literal("fun")) == "fun"
     with pytest.raises(NotAConstruction):

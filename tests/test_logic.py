@@ -3,13 +3,15 @@
 import pytest
 
 from cqe import session
-from cqe.constructions import type_to_construction
+from cqe.constructions import term_to_construction, type_to_construction
 from cqe.errors import (
     FreeOccurrence,
     IllTyped,
     KernelError,
+    NotAConstruction,
     NotClosed,
     NotEvalFree,
+    UnknownName,
     WrongShape,
 )
 from cqe.frontend import parse_term, print_term
@@ -22,6 +24,8 @@ from cqe.kernel import (
     mk_eq,
     mk_imp,
     mk_neg,
+    new_constant,
+    new_type_constructor,
 )
 from cqe.logic import (
     AP_TERM,
@@ -65,8 +69,12 @@ from cqe.syntax import (
     epsilon_ty,
     mk_fun,
     num_ty,
+    str_ty,
     type_ty,
+    variables_in,
 )
+
+from genterms import TermGen
 
 
 T = Constant("T", bool_ty())
@@ -461,3 +469,122 @@ def test_conv_provenance_tags_flow_through_rules():
     th = IS_EXPR_TYPE_CONV(c, type_to_construction(bool_ty()))
     combined = CONJ(th, EVAL_CONV(Evaluation(c, bool_ty())))
     assert combined.trusted == {"IS_EXPR_TYPE_CONV", "EVAL_CONV"}
+
+
+# ---------------------------------------------------------------------------
+# refusals: no verdict on what cannot be read, or names no one declared yet
+# ---------------------------------------------------------------------------
+
+
+def _bool_tyc():
+    return type_to_construction(bool_ty())
+
+
+def _is_negated(th):
+    return isinstance(th.concl.fn, Constant) and th.concl.fn.name == "~"
+
+
+def test_is_expr_type_conv_refuses_an_uninterpreted_constant():
+    # an axiom k = Q_ T _Q is satisfiable, so no verdict may rest on k
+    new_constant("k", epsilon_ty())
+    with pytest.raises(NotAConstruction):
+        IS_EXPR_TYPE_CONV(parse_term("k"), _bool_tyc())
+
+
+def test_is_free_in_conv_refuses_an_uninterpreted_function():
+    new_constant("f", mk_fun(epsilon_ty(), epsilon_ty()))
+    with pytest.raises(NotAConstruction):
+        IS_FREE_IN_CONV(parse_term("Q_ x:bool _Q"), parse_term("f Q_ x:bool _Q"))
+
+
+def test_is_expr_type_conv_refuses_an_uninterpreted_type_argument():
+    new_constant("tt", type_ty())
+    with pytest.raises(NotAConstruction):
+        IS_EXPR_TYPE_CONV(Quotation(T), parse_term("tt"))
+
+
+def test_is_expr_type_conv_refuses_a_name_that_is_not_a_literal():
+    new_constant("s", str_ty())
+    with pytest.raises(NotAConstruction):
+        IS_EXPR_TYPE_CONV(parse_term('QuoVar s (TyBase "bool")'), _bool_tyc())
+
+
+@pytest.mark.parametrize("conv", [IS_PEANO_CONV, IS_PRESBURGER_CONV])
+def test_arithmetic_convs_refuse_an_uninterpreted_constant(conv):
+    new_constant("k", epsilon_ty())
+    with pytest.raises(NotAConstruction):
+        conv(parse_term("k"))
+
+
+def test_is_free_in_conv_refuses_an_unknown_constant_until_it_is_declared():
+    x = parse_term("Q_ x:bool _Q")
+    gx = parse_term(
+        'App (QuoConst "g" (TyBiCons "fun" (TyBase "bool") (TyBase "bool")))'
+        ' (QuoVar "x" (TyBase "bool"))'
+    )
+    with pytest.raises(UnknownName):
+        IS_FREE_IN_CONV(x, gx)
+    new_constant("g", mk_fun(bool_ty(), bool_ty()))
+    assert not _is_negated(IS_FREE_IN_CONV(x, gx))
+
+
+def test_is_expr_type_conv_refuses_an_unknown_type_until_it_is_declared():
+    foo = parse_term('TyBase "foo"')
+    with pytest.raises(UnknownName):
+        IS_EXPR_TYPE_CONV(Quotation(T), foo)
+    new_type_constructor("foo", 0)
+    assert _is_negated(IS_EXPR_TYPE_CONV(Quotation(T), foo))
+
+
+@pytest.mark.parametrize(
+    "c, tyc",
+    [
+        ('App (QuoConst "T" (TyBase "bool")) (QuoConst "T" (TyBase "bool"))',
+         'TyBase "bool"'),
+        ('QuoConst "T" (TyBase "num")', 'TyBase "num"'),
+        ('QuoVar "x" (TyMonoCons "bool" (TyBase "bool"))', 'TyBase "bool"'),
+        ('QuoVar "x" (TyBase "bool")', 'TyBase "fun"'),
+        ('QuoVar "x" (TyVar "")', 'TyVar ""'),
+    ],
+    ids=["ill-typed-application", "constant-at-a-foreign-type",
+         "wrong-arity-in-the-term", "wrong-arity-in-the-type", "empty-type-variable"],
+)
+def test_improper_constructions_are_still_decided_false(c, tyc):
+    # these causes cannot change once the names are known, so they are verdicts
+    assert _is_negated(IS_EXPR_TYPE_CONV(parse_term(c), parse_term(tyc)))
+
+
+
+# ---------------------------------------------------------------------------
+# three spellings of one argument get one verdict
+# ---------------------------------------------------------------------------
+
+
+def _spellings(t):
+    z = Variable("z", epsilon_ty())
+    q = Quotation(t)
+    return [q, term_to_construction(t), Application(Abstraction(z, z), q)]
+
+
+def _verdicts(c, t):
+    other = num_ty() if t.ty == bool_ty() else bool_ty()
+    absent = Variable("absent", bool_ty())
+    out = [
+        _is_negated(IS_EXPR_TYPE_CONV(c, type_to_construction(ty)))
+        for ty in (t.ty, other)
+    ]
+    for v in sorted(variables_in(t), key=repr) + [absent]:
+        out.append(_is_negated(IS_FREE_IN_CONV(Quotation(v), c)))
+    out.append(_is_negated(IS_PEANO_CONV(c)))
+    out.append(_is_negated(IS_PRESBURGER_CONV(c)))
+    assert EVAL_CONV(Evaluation(c, t.ty)).concl == mk_eq(Evaluation(c, t.ty), t)
+    return out
+
+
+def test_quotation_encoding_and_redex_spellings_agree():
+    gen = TermGen(seed=47)
+    for _ in range(100):
+        t = gen.eval_free(depth=3)
+        quoted, encoded, redex = (_verdicts(c, t) for c in _spellings(t))
+        assert quoted[0] is False
+        assert quoted == encoded == redex
