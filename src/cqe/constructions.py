@@ -204,7 +204,7 @@ def _encode(t: Term, splice: bool, types: dict) -> Term:
     if name is None:
         raise NotEvalFree(f"cannot encode {type(t).__name__}")
     args = []
-    for p in t._parts():
+    for p in t._parts:
         if isinstance(p, Term):
             args.append(_encode(p, splice, types))
         elif isinstance(p, HolType):

@@ -438,13 +438,13 @@ def _tyvars_of_signature(ty: HolType) -> tuple:
 
 # Elaboration turns a tree into a plan: a tuple whose first item is the
 # node's elaboration type and whose second is one of these tags.
-#   (ty, _P_CONST, name)   (ty, _P_VAR, name)   (ty, _P_BOUND, cell)
+#   (ty, _P_CONST, name)   (ty, _P_VAR, name)
 #   (ty, _P_APP, fn plan, arg plan)   (ty, _P_NUM, value)
-#   (ty, _P_ABS, name, variable type, cell, body plan)
+#   (ty, _P_ABS, name, variable type, body plan)
 #   (ty, _P_QUOTE, body plan)   (ty, _P_HOLE, plan)   (ty, _P_EVAL, plan)
-# A binder's cell is a one-item list that receives its Variable when the
-# plan is built, for the bound occurrences to share.
-_P_CONST, _P_VAR, _P_BOUND, _P_APP, _P_NUM, _P_ABS, _P_QUOTE, _P_HOLE, _P_EVAL = range(9)
+# A bound occurrence is a _P_VAR at its binder's type, so it builds the
+# binder's own (interned) Variable.
+_P_CONST, _P_VAR, _P_APP, _P_NUM, _P_ABS, _P_QUOTE, _P_HOLE, _P_EVAL = range(8)
 
 
 class _Elab:
@@ -453,7 +453,7 @@ class _Elab:
         self.constants = session.current().constants
         self.eps = epsilon_ty()
         self.free = {}  # free-variable name -> elaboration type
-        self.scope = {}  # bound name -> [(cell, elaboration type)], innermost last
+        self.scope = {}  # bound name -> [elaboration type], innermost last
         self.names = []  # names of the binders in scope, innermost last
         self.trail = []
         self.saved = None  # len(names) at the outermost open quotation
@@ -520,7 +520,7 @@ class _Elab:
 
     def _ident(self, p) -> tuple:
         _, name, ann, off = p
-        for cell, vty in reversed(self.scope.get(name, ())):
+        for vty in reversed(self.scope.get(name, ())):
             if ann is not None:
                 mark = len(self.trail)
                 try:
@@ -528,7 +528,7 @@ class _Elab:
                 except _UnifyFail:
                     _undo(self.trail, mark)
                     continue  # annotation escapes this binder; look outward
-            return (vty, _P_BOUND, cell)
+            return (vty, _P_VAR, name)
         generic = self.constants.get(name)
         if generic is not None:
             tvs = _tyvars_of_signature(generic)
@@ -548,13 +548,12 @@ class _Elab:
         if name in self.constants:
             raise ParseError(f"binder variable {name!r} shadows a constant {self._at(off)}")
         vty = ann if ann is not None else _Meta()
-        cell = [None]
-        self.scope.setdefault(name, []).append((cell, vty))
+        self.scope.setdefault(name, []).append(vty)
         self.names.append(name)
         bplan = self.elab(body)
         self.names.pop()
         self.scope[name].pop()
-        return (mk_fun(vty, bplan[0]), _P_ABS, name, vty, cell, bplan)
+        return (mk_fun(vty, bplan[0]), _P_ABS, name, vty, bplan)
 
     def _hole(self, p) -> tuple:
         # Hole contents live outside the quotation: the binders entered since
@@ -582,16 +581,13 @@ def _build(plan) -> Term:
     tag = plan[1]
     if tag == _P_APP:
         return Application(_build(plan[2]), _build(plan[3]))
-    if tag == _P_BOUND:
-        return plan[2][0]
     if tag == _P_CONST:
         return Constant(plan[2], _zonk(plan[0]))
     if tag == _P_VAR:
         return Variable(plan[2], _zonk(plan[0]))
     if tag == _P_ABS:
-        _, _, name, vty, cell, bplan = plan
-        v = cell[0] = Variable(name, _zonk(vty))
-        return Abstraction(v, _build(bplan))
+        _, _, name, vty, bplan = plan
+        return Abstraction(Variable(name, _zonk(vty)), _build(bplan))
     if tag == _P_NUM:
         t: Term = Constant("_0", num_ty())
         suc = Constant("SUC", mk_fun(num_ty(), num_ty()))
@@ -763,7 +759,7 @@ def tree_to_type(tree) -> HolType:
     raise ParseError(f"malformed type tree: {tree!r}")
 
 
-# tree tag -> node class and the kind of each field, in ``_parts()`` order
+# tree tag -> node class and the kind of each field, in ``_parts`` order
 _TREE_NODES = {
     "var": (Variable, (str, HolType)),
     "const": (Constant, (str, HolType)),
@@ -778,7 +774,7 @@ _TREE_TAG = {cls: tag for tag, (cls, _) in _TREE_NODES.items()}
 
 def term_to_tree(t: Term):
     out = [_TREE_TAG[type(t)]]
-    for p in t._parts():
+    for p in t._parts:
         if isinstance(p, Term):
             out.append(term_to_tree(p))
         elif isinstance(p, HolType):

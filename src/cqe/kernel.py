@@ -119,11 +119,9 @@ class Theorem:
 
     def __repr__(self):
         try:
-            from .frontend import print_term
+            from .frontend import print_theorem
 
-            hyps = ", ".join(sorted(print_term(h) for h in self.hyps))
-            sep = " " if hyps else ""
-            return f"{hyps}{sep}|- {print_term(self.concl)}"
+            return print_theorem(self)
         except Exception:
             return f"<Theorem at {id(self):#x}>"
 
@@ -308,7 +306,7 @@ def dest_not_effective(p: Term):
 # ---------------------------------------------------------------------------
 
 
-def vsubst(pairs, t: Term, registry=None, used=None) -> Term:
+def vsubst(pairs, t: Term, used=None) -> Term:
     """Simultaneous substitution of terms for variables.
 
     ``pairs`` is an iterable of (Variable, Term) with matching types.  The
@@ -335,11 +333,9 @@ def vsubst(pairs, t: Term, registry=None, used=None) -> Term:
     theta = {x: tm for x, tm in theta.items() if tm != x}
     if not theta:
         return t
-    if registry is None:
-        registry = session.current().nei_registry
     if used is None:
         used = []
-    return _vsubst(t, theta, registry, used)
+    return _vsubst(t, theta, session.current().nei_registry, used)
 
 
 def _vsubst(t: Term, theta: dict, registry, used) -> Term:
@@ -509,7 +505,7 @@ def _inst_type(t: Term, env: dict) -> Term:
                     "of a body containing evaluations"
                 )
             yr = fresh_variant(y, variables_in(t.body))
-            body = vsubst(((y, yr),), t.body, registry={}, used=[])
+            body = vsubst(((y, yr),), t.body)
             return _inst_type(Abstraction(yr, body), env)
         body = _inst_type(t.body, env)
         return t if y2 is y and body is t.body else Abstraction(y2, body)
@@ -623,10 +619,9 @@ def DEDUCT_ANTISYM(th1: Theorem, th2: Theorem) -> Theorem:
 
 
 def INST(pairs, th: Theorem) -> Theorem:
-    reg = session.current().nei_registry
     used = []
-    concl = vsubst(pairs, th.concl, reg, used)
-    hyps = [vsubst(pairs, h, reg, used) for h in th.hyps]
+    concl = vsubst(pairs, th.concl, used)
+    hyps = [vsubst(pairs, h, used) for h in th.hyps]
     ax, tr = _prov(th, *used)
     return _thm(hyps, concl, ax, tr)
 

@@ -1,18 +1,22 @@
 """Core term language: simple types and the seven-constructor term tree.
 
-Types are hash-consed (Filliâtre & Conchon, "Type-Safe Modular
-Hash-Consing", 2006): ``TypeVariable`` and ``TypeApplication`` return the
-one object per structure kept in a process-wide table, with its hash cached
-on it, so type equality is identity.  A table hit saves only allocation and
-hashing: the arity check against the active session runs on every
-``TypeApplication`` call, so a type is always validated against the session
-that asks for it.  A type with an argument that is not a type (the
-elaborator's unification variables) stays out of the table and compares
-structurally; the elaborator replaces them before it builds a Term.
+Types and terms are hash-consed (Filliâtre & Conchon, "Type-Safe Modular
+Hash-Consing", 2006): a constructor looks the structure up in a
+process-wide table and returns the one object already built for it, so
+``==`` on types and on terms is identity.  The type table keeps its entries;
+the term table holds its terms weakly and keeps none of them alive.  A table
+hit skips the formation checks, which depend only on the parts, except the
+two that read the active session: the arity check of every
+``TypeApplication`` call and the signature check of every ``Constant`` call.
+So a type or a constant is always validated against the session that asks
+for it.  A type with an argument that is not a type (the elaborator's
+unification variables) stays out of the table and compares structurally;
+the elaborator replaces them before it builds a Term.
 
-Terms are immutable; every node validates its own formation conditions when
-built, so a constructed Term is well-typed by construction.  Three node kinds
-go beyond the simply typed lambda calculus:
+Terms are immutable.  A new node validates its own formation conditions
+once, in its class's ``__post_init__``, so a constructed Term is well-typed
+by construction.  Three node kinds go beyond the simply typed lambda
+calculus:
 
 * ``Quotation`` wraps a term and denotes that term's syntax tree.  Its body
   must not contain an evaluation except inside a hole — quoting a term whose
@@ -24,10 +28,10 @@ go beyond the simply typed lambda calculus:
 * ``Evaluation`` maps a syntax value back to the value of the term it
   represents, at a stated result type.
 
-Eval-freeness, hole bookkeeping, the term's type, and a structural hash are
-computed once at construction and cached on the node.
+Eval-freeness, hole bookkeeping and the term's type are computed once at
+construction and cached on the node.
 
-Walkers reach a node's parts through ``_parts()``, via ``subterms`` and
+Walkers reach a node's parts through ``_parts``, via ``subterms`` and
 ``map_parts``, rather than dispatching on its kind.  Only the hot walkers
 ``_frees``, ``_alpha`` and the kernel's ``_vsubst`` keep hand-written
 dispatch, and the first two avoid re-walking structure they have seen:
@@ -37,17 +41,13 @@ dispatch, and the first two avoid re-walking structure they have seen:
   recomputes the body's set at every binder.
 * ``_alpha`` threads the invariant "``env_s is env_t`` exactly while every
   binder pair so far was the same variable" (the root's ``()`` qualifies).
-  Under it, ``s is t`` proves alpha-equivalence at once; the derived rules
-  hit this constantly, since ``EQ_MP`` compares terms built from one shared
-  subterm.  The shortcut is identity only: a structural ``s == t`` would
-  walk both trees through ``Term.__eq__``, which spends more Python stack
-  per level than ``_alpha`` and so lowers the nesting depth a script may
-  reach.
+  Under it, ``s is t`` proves alpha-equivalence at once; with interned
+  terms it fires on every shared subterm.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
 
 from . import session
 from .errors import (
@@ -247,10 +247,19 @@ def subst_type(ty: HolType, env: dict) -> HolType:
 # ---------------------------------------------------------------------------
 
 
+# The term intern table: (class, parts) -> the live node with those parts.
+_TERMS = weakref.WeakValueDictionary()
+
+
 class Term:
-    """Base class; see the module docstring for the node kinds."""
+    """Base class of the seven node kinds; interned, see the module docstring.
+
+    ``Cls(*parts)`` takes the parts in the order of ``Cls._fields`` and keeps
+    them as the node's ``_parts`` tuple.
+    """
 
     __slots__ = ()
+    _fields: tuple = ()
 
     # Caches set by each subclass's __post_init__:
     #   ty               -- the term's type (a field on Variable/Constant)
@@ -258,24 +267,33 @@ class Term:
     #   ef_outside_holes -- no Evaluation outside hole contents
     #   has_hole         -- some Hole occurs anywhere
     #   has_naked_hole   -- some Hole occurs outside any Quotation
-    #   _hash            -- structural hash
     # and one set by _frees on first use, on every node but a leaf:
     #   _fv              -- the syntactic free-variable set
 
-    def _parts(self) -> tuple:
-        raise NotImplementedError
+    def __new__(cls, *parts):
+        key = (cls, parts)
+        try:
+            t = _TERMS.get(key)
+        except TypeError:  # an unhashable part: formation below refuses it
+            t = None
+        if t is None:
+            if len(parts) != len(cls._fields):
+                raise TypeError(f"{cls.__name__} takes {len(cls._fields)} parts")
+            t = object.__new__(cls)
+            d = t.__dict__
+            d.update(zip(cls._fields, parts))
+            d["_parts"] = parts
+            t.__post_init__()
+            _TERMS[key] = t
+        elif cls is Constant:
+            t._check_in_session()
+        return t
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(self) is not type(other):
-            return NotImplemented if not isinstance(other, Term) else False
-        if self._hash != other._hash:
-            return False
-        return self._parts() == other._parts()
+    def __setattr__(self, name, value):
+        raise AttributeError("terms are immutable")
 
-    def __hash__(self):
-        return self._hash
+    def __reduce__(self):
+        return (type(self), self._parts)
 
     def __repr__(self):
         try:
@@ -286,24 +304,20 @@ class Term:
             return f"<{type(self).__name__}>"
 
     def _seal(self, ty, eval_free, ef_outside_holes, has_hole, has_naked_hole):
-        sa = object.__setattr__
-        if not hasattr(self, "ty"):
-            sa(self, "ty", ty)
-        sa(self, "eval_free", eval_free)
-        sa(self, "ef_outside_holes", ef_outside_holes)
-        sa(self, "has_hole", has_hole)
-        sa(self, "has_naked_hole", has_naked_hole)
-        sa(self, "_hash", hash((type(self).__name__,) + self._parts()))
+        d = self.__dict__
+        d["ty"] = ty
+        d["eval_free"] = eval_free
+        d["ef_outside_holes"] = ef_outside_holes
+        d["has_hole"] = has_hole
+        d["has_naked_hole"] = has_naked_hole
 
 
 def _is_name_literal(name: str) -> bool:
     return len(name) >= 2 and name.startswith('"') and name.endswith('"')
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Variable(Term):
-    name: str
-    ty: HolType
+    _fields = ("name", "ty")
 
     def __post_init__(self):
         if not isinstance(self.name, str) or not self.name:
@@ -312,41 +326,35 @@ class Variable(Term):
             raise IllTyped("variable type must be a HolType")
         self._seal(self.ty, True, True, False, False)
 
-    def _parts(self):
-        return (self.name, self.ty)
 
-
-@dataclass(frozen=True, eq=False, repr=False)
 class Constant(Term):
-    name: str
-    ty: HolType
+    _fields = ("name", "ty")
 
     def __post_init__(self):
         if not isinstance(self.name, str) or not self.name:
             raise IllTyped("constant name must be a non-empty string")
+        self._check_in_session()
+        self._seal(self.ty, True, True, False, False)
+
+    def _check_in_session(self):
+        # runs on every formation, table hit or miss
         if _is_name_literal(self.name):
             # A name literal like "bool" denotes itself; its type is fixed.
             if self.ty != str_ty():
                 raise IllTyped(f"name literal {self.name} must have type str")
-        else:
-            generic = session.current().constants.get(self.name)
-            if generic is None:
-                raise UnknownName(f"unknown constant: {self.name!r}")
-            if self.ty is not generic and not match_type(generic, self.ty, {}):
-                raise IllTyped(
-                    f"constant {self.name!r} at type {self.ty!r} is not an "
-                    f"instance of its generic type {generic!r}"
-                )
-        self._seal(self.ty, True, True, False, False)
-
-    def _parts(self):
-        return (self.name, self.ty)
+            return
+        generic = session.current().constants.get(self.name)
+        if generic is None:
+            raise UnknownName(f"unknown constant: {self.name!r}")
+        if self.ty is not generic and not match_type(generic, self.ty, {}):
+            raise IllTyped(
+                f"constant {self.name!r} at type {self.ty!r} is not an "
+                f"instance of its generic type {generic!r}"
+            )
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Application(Term):
-    fn: Term
-    arg: Term
+    _fields = ("fn", "arg")
 
     def __post_init__(self):
         fty = self.fn.ty
@@ -365,14 +373,9 @@ class Application(Term):
             self.fn.has_naked_hole or self.arg.has_naked_hole,
         )
 
-    def _parts(self):
-        return (self.fn, self.arg)
 
-
-@dataclass(frozen=True, eq=False, repr=False)
 class Abstraction(Term):
-    var: Variable
-    body: Term
+    _fields = ("var", "body")
 
     def __post_init__(self):
         if not isinstance(self.var, Variable):
@@ -385,13 +388,9 @@ class Abstraction(Term):
             self.body.has_naked_hole,
         )
 
-    def _parts(self):
-        return (self.var, self.body)
 
-
-@dataclass(frozen=True, eq=False, repr=False)
 class Quotation(Term):
-    body: Term
+    _fields = ("body",)
 
     def __post_init__(self):
         if not self.body.ef_outside_holes:
@@ -404,14 +403,9 @@ class Quotation(Term):
     def body_type(self) -> HolType:
         return self.body.ty
 
-    def _parts(self):
-        return (self.body,)
 
-
-@dataclass(frozen=True, eq=False, repr=False)
 class Hole(Term):
-    content: Term
-    slot_type: HolType
+    _fields = ("content", "slot_type")
 
     def __post_init__(self):
         if self.content.ty != epsilon_ty():
@@ -422,14 +416,9 @@ class Hole(Term):
             self.slot_type, self.content.eval_free, True, True, True
         )
 
-    def _parts(self):
-        return (self.content, self.slot_type)
 
-
-@dataclass(frozen=True, eq=False, repr=False)
 class Evaluation(Term):
-    content: Term
-    result_type: HolType
+    _fields = ("content", "result_type")
 
     def __post_init__(self):
         if self.content.ty != epsilon_ty():
@@ -440,14 +429,11 @@ class Evaluation(Term):
             )
         self._seal(self.result_type, False, False, self.content.has_hole, False)
 
-    def _parts(self):
-        return (self.content, self.result_type)
-
 
 def subterms(t: Term) -> list:
     """The Term parts of t, in field order."""
     out = []
-    for p in t._parts():
+    for p in t._parts:
         if isinstance(p, Term):
             out.append(p)
     return out
@@ -462,7 +448,7 @@ def map_parts(t: Term, on_term, on_type, *args) -> Term:
     """
     parts = []
     changed = False
-    for p in t._parts():
+    for p in t._parts:
         if isinstance(p, Term):
             q = on_term(p, *args)
         elif on_type is not None and isinstance(p, HolType):
@@ -579,7 +565,7 @@ def fresh_variant(x: Variable, avoid) -> Variable:
 
 def type_variables_in_term(t: Term) -> frozenset:
     out = frozenset()
-    for p in t._parts():
+    for p in t._parts:
         if isinstance(p, Term):
             out |= type_variables_in_term(p)
         elif isinstance(p, HolType):
@@ -656,7 +642,7 @@ def _alpha_quoted(s: Term, t: Term, env_s: tuple, env_t: tuple) -> bool:
         )
     if not s.has_hole:
         return s == t
-    for p, q in zip(s._parts(), t._parts()):
+    for p, q in zip(s._parts, t._parts):
         if isinstance(p, Term):
             if not _alpha_quoted(p, q, env_s, env_t):
                 return False

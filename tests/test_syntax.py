@@ -1,6 +1,9 @@
 """Term/type formation, equality, free variables, and alpha-equivalence."""
 
 import copy
+import gc
+import pickle
+import weakref
 
 import pytest
 
@@ -13,7 +16,7 @@ from cqe.errors import (
     UnknownName,
 )
 from cqe.frontend import _Meta, parse_term, parse_type, term_to_tree, tree_to_term
-from cqe.kernel import new_type_constructor
+from cqe.kernel import new_constant, new_type_constructor
 from cqe.syntax import (
     Abstraction,
     Application,
@@ -225,6 +228,94 @@ def test_generated_terms_equal_their_rebuilds():
     rebuilt = TermGen(seed=7)
     for _ in range(60):
         assert gen.term(depth=3) == rebuilt.term(depth=3)
+
+
+def _node_kinds(t, out):
+    out.add(type(t))
+    for s in subterms(t):
+        _node_kinds(s, out)
+
+
+def test_equal_terms_are_one_object():
+    first = TermGen(seed=11, evals=True, holes=True)
+    again = TermGen(seed=11, evals=True, holes=True)
+    kept = [first.term(depth=4) for _ in range(120)]
+    kinds = set()
+    for t in kept:
+        assert again.term(depth=4) is t
+        _node_kinds(t, kinds)
+    assert kinds == {
+        Variable, Constant, Application, Abstraction, Quotation, Hole, Evaluation
+    }
+
+
+def test_copies_are_the_interned_node():
+    gen = TermGen(seed=12, evals=True, holes=True)
+    for _ in range(40):
+        t = gen.term(depth=3)
+        assert copy.copy(t) is t
+        assert copy.deepcopy(t) is t
+        assert pickle.loads(pickle.dumps(t)) is t
+
+
+def test_a_table_hit_still_checks_a_constant():
+    new_constant("k", bool_ty())
+    c = Constant("k", bool_ty())
+    assert Constant("k", bool_ty()) is c
+    session.reset()
+    with pytest.raises(UnknownName):
+        Constant("k", bool_ty())
+    new_constant("k", num_ty())
+    with pytest.raises(IllTyped):
+        Constant("k", bool_ty())
+    assert c.ty is bool_ty()  # the node stayed in the table all along
+
+
+def test_the_table_does_not_keep_terms_alive():
+    x = Variable("unpinned", bool_ty())
+    t = Abstraction(x, Application(Abstraction(x, x), x))
+    refs = [weakref.ref(x), weakref.ref(t), weakref.ref(t.body)]
+    del x, t
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
+
+
+def test_formation_checks_run_once_per_new_node(monkeypatch):
+    built = []
+    for cls in (Variable, Application, Abstraction):
+        def post_init(node, orig=cls.__post_init__):
+            built.append(type(node))
+            orig(node)
+
+        monkeypatch.setattr(cls, "__post_init__", post_init)
+    x = Variable("once", bool_ty())
+    t = Abstraction(x, Application(Abstraction(x, x), x))
+    assert built == [Variable, Abstraction, Application, Abstraction]
+    again = Variable("once", bool_ty())
+    assert Abstraction(again, Application(Abstraction(again, again), again)) is t
+    assert len(built) == 4
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Variable("x", []),
+        lambda: Constant("T", []),
+        lambda: Variable(["x"], bool_ty()),
+    ],
+    ids=["variable-type", "constant-type", "variable-name"],
+)
+def test_an_unhashable_part_is_ill_typed(build):
+    with pytest.raises(IllTyped):
+        build()
+
+
+def test_terms_are_immutable():
+    t = Application(Abstraction(tv(), tv()), Constant("T", bool_ty()))
+    with pytest.raises(AttributeError):
+        t.fn = tv("y")
+    with pytest.raises(AttributeError):
+        tv().name = "y"
 
 
 # ---------------------------------------------------------------------------
