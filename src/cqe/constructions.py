@@ -263,10 +263,10 @@ def construction_to_term(c: Term) -> Term:
     """The term that the closed construction c denotes.
 
     Accepts any eval-free term of type epsilon whose value can be read
-    node by node: spine beta redexes are reduced first, a hole-free
-    quotation gives its body as it is, a quotation with holes is read
-    through ``expand_quasiquote``, and a constructor applied to all of its
-    arguments gives the node built from what they denote.
+    node by node: spine beta redexes are reduced first, a quotation gives
+    its body with each hole replaced by the term its content denotes, and a
+    constructor applied to all of its arguments gives the node built from
+    what they denote.
 
     Raises Improper when c denotes no well-formed term: an ill-typed
     application, a constant at a type that is not an instance of its
@@ -277,9 +277,7 @@ def construction_to_term(c: Term) -> Term:
     """
     head, args = _whnf(c)
     if isinstance(head, Quotation):
-        if head.has_hole:
-            return construction_to_term(expand_quasiquote(head))
-        return head.body
+        return _read_quoted(head.body)
     con = head.name if isinstance(head, Constant) else None
     if con not in _NODE_OF or len(args) != len(_PARAMS[con]):
         raise NotAConstruction(f"not a construction: {c!r}")
@@ -292,6 +290,17 @@ def construction_to_term(c: Term) -> Term:
         else:
             parts.append(construction_to_term(a))
     return _formed(_NODE_OF[con], *parts)
+
+
+def _read_quoted(t: Term) -> Term:
+    # Agrees with reading ``expand_quasiquote`` of the quotation, without
+    # encoding and decoding the syntax around the holes.
+    if not t.has_hole:
+        return t
+    if isinstance(t, Hole):
+        return construction_to_term(t.content)
+    parts = [_read_quoted(p) if isinstance(p, Term) else p for p in t._parts]
+    return _formed(type(t), *parts)
 
 
 def is_proper(c: Term) -> bool:

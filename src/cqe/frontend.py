@@ -17,22 +17,26 @@ The surface language is a small HOL-style notation:
 
 One regular-expression scan lexes the input into parallel lists of token
 kinds, texts and offsets; ``line:col`` is worked out from an offset only
-for a message.  A binding-power parser (Pratt, "Top down operator
-precedence", POPL 1973) reads the lists into a tree of tuples: one loop per
-nesting level handles prefix forms, application and the infix connectives
-of ``_INFIX``, the table the printer also uses.  Type annotations in the
-tree are already kernel ``HolType`` values.
+for a message.  One reading pass then parses and elaborates together: a
+binding-power loop (Pratt, "Top down operator precedence", POPL 1973) reads
+one nesting level per frame, handling prefix forms, application and the
+infix connectives of ``_INFIX``, the table the printer also uses, and each
+form is elaborated into a plan as soon as it is read.  ``_build`` then
+makes the kernel term of the finished plan.
 
-A checking elaborator then resolves identifier scoping and fills in types.
-Its types are kernel types plus one class of unification variable
-(``_Meta``), created only where a type is not known: a monomorphic constant
-has its signature as its type, an application whose operator already has a
-function type checks the operand against its domain, and an annotation is
-used as the type it states.  Each occurrence of a polymorphic constant gets
-fresh metas for its type variables, free variables get one type per name,
-and ``_zonk`` replaces solved metas when the kernel terms are built.
-Anything left undetermined is an error rather than a guess.  ``print_term``
-emits text that parses back to an equal term.
+Elaboration resolves identifier scoping and fills in types.  Its types are
+kernel types plus two frontend-only classes that the kernel never sees: a
+unification variable (``_Meta``), created only where a type is not known,
+and a type constructor applied to such types (``_Open``).  A monomorphic
+constant has its signature as its type, an application whose operator
+already has a function type checks the operand against its domain, and an
+annotation is used as the type it states.  Each occurrence of a polymorphic
+constant gets fresh metas for its type variables, free variables get one
+type per name, and ``_zonk`` replaces solved metas when the kernel terms are
+built.  An elaboration error is held until the input has been read, so a
+syntax error anywhere in the text is reported first.  Anything left
+undetermined is an error rather than a guess.  ``print_term`` emits text
+that parses back to an equal term.
 """
 
 from __future__ import annotations
@@ -66,7 +70,6 @@ from .syntax import (
     mk_fun,
     num_ty,
     str_ty,
-    subst_type,
     type_variables_in,
 )
 
@@ -137,16 +140,8 @@ def _lex(text: str) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# parser: text -> tree of tuples
+# reader: text -> elaboration plan -> kernel term
 # ---------------------------------------------------------------------------
-
-# Tree nodes are tuples whose first item is the tag; ``off`` is the offset
-# of the token an elaboration error points at.
-#   (_T_ID, name, annotation or None, off)      (_T_APP, fn, arg, off)
-#   (_T_ABS, name, annotation or None, body, off)
-#   (_T_STR, text)   (_T_NUM, value, off)   (_T_QUOTE, body)
-#   (_T_HOLE, body, annotation or None, off)    (_T_EVAL, body, type, off)
-_T_ID, _T_APP, _T_ABS, _T_STR, _T_NUM, _T_QUOTE, _T_HOLE, _T_EVAL = range(8)
 
 # Grammar levels, loosest first.  A form parsed at some level may contain
 # only forms of that level or a tighter one, unparenthesized.
@@ -169,12 +164,161 @@ _BINDERS = frozenset({"!", "?", "\\"})
 _ATOM_START = frozenset({"IDENT", "STRING", "NUMERAL", "Q_", "H_", "("})
 
 
-class _Parser:
+class _UnifyFail(Exception):
+    pass
+
+
+class _Unresolved(Exception):
+    pass
+
+
+class _Meta:
+    """A type to be found by unification; ``ref`` is its solution, if any."""
+
+    __slots__ = ("ref",)
+
+    def __init__(self):
+        self.ref = None
+
+
+class _Open:
+    """A type constructor applied to arguments of which some are not kernel
+    types (a ``_Meta`` or another ``_Open``); ``_zonk`` makes it one."""
+
+    __slots__ = ("constructor", "arguments")
+
+    def __init__(self, constructor, arguments):
+        self.constructor = constructor
+        self.arguments = arguments
+
+
+_KERNEL_TYPES = (TypeApplication, TypeVariable)
+
+
+def _fun(dom, cod):
+    """``dom -> cod``: a kernel type when both parts are kernel types."""
+    if type(dom) in _KERNEL_TYPES and type(cod) in _KERNEL_TYPES:
+        return mk_fun(dom, cod)
+    return _Open("fun", (dom, cod))
+
+
+def _resolve(t):
+    while isinstance(t, _Meta) and t.ref is not None:
+        t = t.ref
+    return t
+
+
+def _occurs(m, t):
+    t = _resolve(t)
+    if t is m:
+        return True
+    if type(t) is _Open:  # a kernel type holds no metas
+        for a in t.arguments:
+            if _occurs(m, a):
+                return True
+    return False
+
+
+def _unify(a, b, trail):
+    a = _resolve(a)
+    b = _resolve(b)
+    if a is b:
+        return
+    if isinstance(a, _Meta):
+        if _occurs(a, b):
+            raise _UnifyFail
+        a.ref = b
+        trail.append(a)
+        return
+    if isinstance(b, _Meta):
+        _unify(b, a, trail)
+        return
+    # rigid type variables unify only with themselves
+    if isinstance(a, TypeVariable) or isinstance(b, TypeVariable):
+        raise _UnifyFail
+    if a.constructor != b.constructor or len(a.arguments) != len(b.arguments):
+        raise _UnifyFail
+    for x, y in zip(a.arguments, b.arguments):
+        _unify(x, y, trail)
+
+
+def _undo(trail, mark):
+    while len(trail) > mark:
+        trail.pop().ref = None
+
+
+def _zonk(t) -> HolType:
+    """``t`` with its metas replaced by their solutions; ``t`` itself when
+    it is a kernel type.  Raises ``_Unresolved`` on an unsolved meta.
+
+    Terms are built only once unification is over, so a meta keeps its
+    zonked solution and later occurrences share it.
+    """
+    cls = type(t)
+    if cls is TypeApplication or cls is TypeVariable:
+        return t
+    if cls is _Meta:
+        if t.ref is None:
+            raise _Unresolved
+        t.ref = _zonk(t.ref)
+        return t.ref
+    return TypeApplication(t.constructor, tuple(_zonk(a) for a in t.arguments))
+
+
+# Type variables of each constant signature, found once per signature.
+# Signatures are interned types, which are never freed, so this table keeps
+# alive nothing that the type table does not.
+_SIGNATURE_TYVARS: dict = {}
+
+
+def _tyvars_of_signature(ty: HolType) -> tuple:
+    tvs = _SIGNATURE_TYVARS.get(ty)
+    if tvs is None:
+        tvs = _SIGNATURE_TYVARS[ty] = tuple(type_variables_in(ty))
+    return tvs
+
+
+def _instance(ty: HolType, metas: dict):
+    """``ty`` with each type variable replaced by its meta in ``metas``."""
+    if type(ty) is TypeVariable:
+        return metas[ty]
+    args = tuple(_instance(a, metas) for a in ty.arguments)
+    return ty if args == ty.arguments else _Open(ty.constructor, args)
+
+
+# A plan is what the reader makes of a form: a tuple whose first item is the
+# form's elaboration type and whose second is one of these tags.
+#   (ty, _P_CONST, name)   (ty, _P_VAR, name)
+#   (ty, _P_APP, fn plan, arg plan)   (ty, _P_NUM, value)
+#   (ty, _P_ABS, name, variable type, body plan)
+#   (ty, _P_QUOTE, body plan)   (ty, _P_HOLE, plan)   (ty, _P_EVAL, plan)
+# A bound occurrence is a _P_VAR at its binder's type, so it builds the
+# binder's own (interned) Variable.
+_P_CONST, _P_VAR, _P_APP, _P_NUM, _P_ABS, _P_QUOTE, _P_HOLE, _P_EVAL = range(8)
+
+
+class _Reader:
+    """Parses a text and elaborates each form as soon as it is read.
+
+    A syntax error is raised where it is found.  An elaboration error is
+    held in ``error`` while reading goes on, so that a syntax error later in
+    the text still wins; ``parse_term`` raises it once the input has ended.
+    """
+
     def __init__(self, text):
         self.text = text
         self.kinds, self.texts, self.starts = _lex(text)
         self.i = 0
-        self.ctx = []  # 'q' inside a quotation, 'h' inside a hole
+        self.constants = session.current().constants
+        self.eps = epsilon_ty()
+        self.free = {}  # free-variable name -> elaboration type
+        self.scope = {}  # bound name -> [elaboration type], innermost last
+        self.names = []  # names of the binders in scope, innermost last
+        self.trail = []
+        # len(names) at the outermost open quotation; None outside any
+        # quotation and directly inside a hole
+        self.saved = None
+        self.error = None  # the first elaboration error
 
     def fail(self, msg, j=None):
         j = self.i if j is None else j
@@ -195,6 +339,20 @@ class _Parser:
     def expect_eof(self):
         if self.kinds[self.i] != "EOF":
             self.fail("unexpected trailing input")
+
+    def _at(self, off) -> str:
+        line, col = _linecol(self.text, off)
+        return f"(at {line}:{col})"
+
+    def _hold(self, error):
+        if self.error is None:
+            self.error = error
+
+    def _unify_at(self, a, b, off, what):
+        try:
+            _unify(a, b, self.trail)
+        except _UnifyFail:
+            self._hold(ElaborationError(f"{what} {self._at(off)}"))
 
     # -- types --------------------------------------------------------------
 
@@ -232,10 +390,10 @@ class _Parser:
 
     # -- terms --------------------------------------------------------------
 
-    def term(self, level=_TERM):
-        """Parse the longest form of grammar level ``level`` or tighter.
+    def term(self, level=_TERM) -> tuple:
+        """The plan of the longest form of grammar level ``level`` or tighter.
 
-        One frame per nesting level: prefix forms and atoms are parsed here,
+        One frame per nesting level: prefix forms and atoms are read here,
         then application and the infix connectives loop on what was read.
         """
         kinds, starts = self.kinds, self.starts
@@ -250,60 +408,67 @@ class _Parser:
             if level > _NEG:
                 self.fail("expected a term")
             self.i = i + 1
-            lhs = (_T_APP, (_T_ID, "~", None, off), self.term(_NEG), off)
+            neg = self._ident("~", None, off)
+            lhs = self._app(neg, self.term(_NEG), off)
         elif kind == "eval":
             if level > _COMB:
                 self.fail("expected a term")
-            if self.ctx and self.ctx[-1] == "q":
+            if self.saved is not None:
                 self.fail("evaluation is not allowed inside a quotation")
             self.i = i + 1
             body = self.term(_APP)
             self.expect("to", "'to' in an eval form")
-            lhs = (_T_EVAL, body, self.tyatom(), off)
+            ty = self.tyatom()
+            if body[0] is not self.eps:
+                self._unify_at(
+                    body[0], self.eps, off, "eval expects a construction (type epsilon)"
+                )
+            lhs = (ty, _P_EVAL, body)
         else:
             if kind == "IDENT":
                 self.i = i + 1
-                lhs = (_T_ID, self.texts[i], self._opt_ann(), off)
+                lhs = self._ident(self.texts[i], self._opt_ann(), off)
             elif kind == "(":
                 if kinds[i + 1] in _OP_ATOMS and kinds[i + 2] == ")":
                     self.i = i + 3
-                    lhs = (_T_ID, kinds[i + 1], self._opt_ann(), off)
+                    lhs = self._ident(kinds[i + 1], self._opt_ann(), off)
                 else:
                     self.i = i + 1
                     lhs = self.term()
                     self.expect(")", ")")
             elif kind == "NUMERAL":
                 self.i = i + 1
-                lhs = (_T_NUM, int(self.texts[i]), off)
+                if "_0" not in self.constants or "SUC" not in self.constants:
+                    self._hold(ElaborationError(f"no numerals in this session {self._at(off)}"))
+                lhs = (num_ty(), _P_NUM, int(self.texts[i]))
             elif kind == "STRING":
                 self.i = i + 1
-                lhs = (_T_STR, self.texts[i][1:-1])
+                lhs = (str_ty(), _P_CONST, self.texts[i])
             elif kind == "Q_":
                 self.i = i + 1
-                self.ctx.append("q")
+                entered = self.saved is None
+                if entered:
+                    self.saved = len(self.names)
                 body = self.term()
                 self.expect("_Q", "'_Q' closing a quotation")
-                self.ctx.pop()
-                lhs = (_T_QUOTE, body)
+                if entered:
+                    self.saved = None
+                lhs = (self.eps, _P_QUOTE, body)
             elif kind == "H_":
-                if not (self.ctx and self.ctx[-1] == "q"):
+                if self.saved is None:
                     line, col = _linecol(self.text, off)
                     raise HoleOutsideQuotation(
                         f"hole outside any quotation at {line}:{col}"
                     )
                 self.i = i + 1
-                self.ctx.append("h")
-                body = self.term()
-                self.expect("_H", "'_H' closing a hole")
-                self.ctx.pop()
-                lhs = (_T_HOLE, body, self._opt_ann(), off)
+                lhs = self._hole(off)
             else:
                 self.fail("expected a term")
             if level == _ATOM:
                 return lhs
             while kinds[self.i] in _ATOM_START:
                 off = starts[self.i]
-                lhs = (_T_APP, lhs, self.term(_ATOM), off)
+                lhs = self._app(lhs, self.term(_ATOM), off)
         while True:
             i = self.i
             op = kinds[i]
@@ -312,214 +477,78 @@ class _Parser:
                 return lhs
             off = starts[i]
             self.i = i + 1
+            lhs = self._app(self._ident(op, None, off), lhs, off)
             rhs = self.term(entry[2])
             if op == "=" and kinds[self.i] == "=":
                 self.fail("'=' does not associate; parenthesize one side")
-            lhs = (_T_APP, (_T_APP, (_T_ID, op, None, off), lhs, off), rhs, off)
+            lhs = self._app(lhs, rhs, off)
 
-    def _binder(self):
+    def _binder(self) -> tuple:
         op = self.kinds[self.i]
         self.i += 1
-        bvars = [self._bvar()]
-        while self.kinds[self.i] == "IDENT":
-            bvars.append(self._bvar())
+        bound = []  # (name, variable type, offset, quantifier plan or None)
+        while True:
+            i = self.expect("IDENT", "a binder variable")
+            name, off = self.texts[i], self.starts[i]
+            ann = self._opt_ann()
+            quantifier = None if op == "\\" else self._ident(op, None, off)
+            if name in self.constants:
+                self._hold(
+                    ParseError(f"binder variable {name!r} shadows a constant {self._at(off)}")
+                )
+            vty = ann if ann is not None else _Meta()
+            self.scope.setdefault(name, []).append(vty)
+            self.names.append(name)
+            bound.append((name, vty, off, quantifier))
+            if self.kinds[self.i] != "IDENT":
+                break
         self.expect(".", "'.' after binder variables")
         body = self.term()
-        for name, ann, off in reversed(bvars):
-            body = (_T_ABS, name, ann, body, off)
-            if op != "\\":
-                body = (_T_APP, (_T_ID, op, None, off), body, off)
+        for name, vty, off, quantifier in reversed(bound):
+            self.names.pop()
+            self.scope[name].pop()
+            body = (_fun(vty, body[0]), _P_ABS, name, vty, body)
+            if quantifier is not None:
+                body = self._app(quantifier, body, off)
         return body
 
-    def _bvar(self):
-        i = self.expect("IDENT", "a binder variable")
-        return self.texts[i], self._opt_ann(), self.starts[i]
+    def _hole(self, off) -> tuple:
+        # Hole contents live outside the quotation: the binders entered since
+        # the outermost open quotation began are out of scope in them.
+        saved, names, scope = self.saved, self.names, self.scope
+        hidden = names[saved:]
+        del names[saved:]
+        entries = [scope[n].pop() for n in reversed(hidden)]
+        self.saved = None
+        body = self.term()
+        self.expect("_H", "'_H' closing a hole")
+        self.saved = saved
+        for n, entry in zip(hidden, reversed(entries)):
+            scope[n].append(entry)
+        names.extend(hidden)
+        ann = self._opt_ann()
+        if body[0] is not self.eps:
+            self._unify_at(
+                body[0], self.eps, off, "hole content must be a construction (type epsilon)"
+            )
+        return (ann if ann is not None else _Meta(), _P_HOLE, body)
 
+    def _app(self, fplan, aplan, off) -> tuple:
+        fe, ae = fplan[0], aplan[0]
+        if type(fe) is _Meta:
+            fe = _resolve(fe)
+        if isinstance(fe, (TypeApplication, _Open)) and fe.constructor == "fun":
+            dom, res = fe.arguments
+            if dom is not ae:
+                self._unify_at(dom, ae, off, "operator/operand types do not agree")
+        else:
+            res = _Meta()
+            self._unify_at(
+                fe, _Open("fun", (ae, res)), off, "operator/operand types do not agree"
+            )
+        return (res, _P_APP, fplan, aplan)
 
-# ---------------------------------------------------------------------------
-# elaboration: parse trees -> kernel terms
-# ---------------------------------------------------------------------------
-
-
-class _UnifyFail(Exception):
-    pass
-
-
-class _Unresolved(Exception):
-    pass
-
-
-class _Meta:
-    """A type to be found by unification; ``ref`` is its solution, if any."""
-
-    __slots__ = ("ref",)
-
-    def __init__(self):
-        self.ref = None
-
-
-def _resolve(t):
-    while isinstance(t, _Meta) and t.ref is not None:
-        t = t.ref
-    return t
-
-
-def _occurs(m, t):
-    t = _resolve(t)
-    if t is m:
-        return True
-    if isinstance(t, TypeApplication):
-        for a in t.arguments:
-            if _occurs(m, a):
-                return True
-    return False
-
-
-def _unify(a, b, trail):
-    a = _resolve(a)
-    b = _resolve(b)
-    if a is b:
-        return
-    if isinstance(a, _Meta):
-        if _occurs(a, b):
-            raise _UnifyFail
-        a.ref = b
-        trail.append(a)
-        return
-    if isinstance(b, _Meta):
-        _unify(b, a, trail)
-        return
-    if isinstance(a, TypeApplication) and isinstance(b, TypeApplication):
-        if a.constructor != b.constructor or len(a.arguments) != len(b.arguments):
-            raise _UnifyFail
-        for x, y in zip(a.arguments, b.arguments):
-            _unify(x, y, trail)
-        return
-    # rigid type variables unify only with themselves
-    if a != b:
-        raise _UnifyFail
-
-
-def _undo(trail, mark):
-    while len(trail) > mark:
-        trail.pop().ref = None
-
-
-def _zonk(t) -> HolType:
-    """``t`` with its metas replaced by their solutions; ``t`` itself when
-    nothing changes.  Raises ``_Unresolved`` on an unsolved meta.
-
-    Terms are built only once unification is over, so a meta keeps its
-    zonked solution and later occurrences share it.
-    """
-    cls = type(t)
-    if cls is TypeApplication or cls is TypeVariable:
-        return t  # an interned type holds no metas
-    if cls is _Meta:
-        if t.ref is None:
-            raise _Unresolved
-        t.ref = _zonk(t.ref)
-        return t.ref
-    return TypeApplication(t.constructor, tuple(_zonk(a) for a in t.arguments))
-
-
-# Type variables of each constant signature, found once per signature.
-# Signatures are interned types, which are never freed, so this table keeps
-# alive nothing that the type table does not.
-_SIGNATURE_TYVARS: dict = {}
-
-
-def _tyvars_of_signature(ty: HolType) -> tuple:
-    tvs = _SIGNATURE_TYVARS.get(ty)
-    if tvs is None:
-        tvs = _SIGNATURE_TYVARS[ty] = tuple(type_variables_in(ty))
-    return tvs
-
-
-# Elaboration turns a tree into a plan: a tuple whose first item is the
-# node's elaboration type and whose second is one of these tags.
-#   (ty, _P_CONST, name)   (ty, _P_VAR, name)
-#   (ty, _P_APP, fn plan, arg plan)   (ty, _P_NUM, value)
-#   (ty, _P_ABS, name, variable type, body plan)
-#   (ty, _P_QUOTE, body plan)   (ty, _P_HOLE, plan)   (ty, _P_EVAL, plan)
-# A bound occurrence is a _P_VAR at its binder's type, so it builds the
-# binder's own (interned) Variable.
-_P_CONST, _P_VAR, _P_APP, _P_NUM, _P_ABS, _P_QUOTE, _P_HOLE, _P_EVAL = range(8)
-
-
-class _Elab:
-    def __init__(self, text):
-        self.text = text
-        self.constants = session.current().constants
-        self.eps = epsilon_ty()
-        self.free = {}  # free-variable name -> elaboration type
-        self.scope = {}  # bound name -> [elaboration type], innermost last
-        self.names = []  # names of the binders in scope, innermost last
-        self.trail = []
-        self.saved = None  # len(names) at the outermost open quotation
-
-    def _at(self, off) -> str:
-        line, col = _linecol(self.text, off)
-        return f"(at {line}:{col})"
-
-    def _unify_at(self, a, b, off, what):
-        try:
-            _unify(a, b, self.trail)
-        except _UnifyFail:
-            raise ElaborationError(f"{what} {self._at(off)}") from None
-
-    def elab(self, p) -> tuple:
-        """The plan of tree ``p``; unifications run in tree order."""
-        tag = p[0]
-        if tag == _T_ID:
-            return self._ident(p)
-        if tag == _T_APP:
-            _, fn, arg, off = p
-            fplan = self.elab(fn)
-            aplan = self.elab(arg)
-            fe, ae = fplan[0], aplan[0]
-            if type(fe) is _Meta:
-                fe = _resolve(fe)
-            if isinstance(fe, TypeApplication) and fe.constructor == "fun":
-                dom, res = fe.arguments
-                if dom is not ae:
-                    self._unify_at(dom, ae, off, "operator/operand types do not agree")
-            else:
-                res = _Meta()
-                self._unify_at(
-                    fe, mk_fun(ae, res), off, "operator/operand types do not agree"
-                )
-            return (res, _P_APP, fplan, aplan)
-        if tag == _T_ABS:
-            return self._abs(p)
-        if tag == _T_STR:
-            return (str_ty(), _P_CONST, '"' + p[1] + '"')
-        if tag == _T_NUM:
-            if "_0" not in self.constants or "SUC" not in self.constants:
-                raise ElaborationError(f"no numerals in this session {self._at(p[2])}")
-            return (num_ty(), _P_NUM, p[1])
-        if tag == _T_QUOTE:
-            entered = self.saved is None
-            if entered:
-                self.saved = len(self.names)
-            bplan = self.elab(p[1])
-            if entered:
-                self.saved = None
-            return (self.eps, _P_QUOTE, bplan)
-        if tag == _T_HOLE:
-            return self._hole(p)
-        if tag == _T_EVAL:
-            _, body, ty, off = p
-            cplan = self.elab(body)
-            if cplan[0] is not self.eps:
-                self._unify_at(
-                    cplan[0], self.eps, off, "eval expects a construction (type epsilon)"
-                )
-            return (ty, _P_EVAL, cplan)
-        raise AssertionError(f"unhandled parse node {p!r}")
-
-    def _ident(self, p) -> tuple:
-        _, name, ann, off = p
+    def _ident(self, name, ann, off) -> tuple:
         for vty in reversed(self.scope.get(name, ())):
             if ann is not None:
                 mark = len(self.trail)
@@ -532,7 +561,7 @@ class _Elab:
         generic = self.constants.get(name)
         if generic is not None:
             tvs = _tyvars_of_signature(generic)
-            ety = subst_type(generic, {tv: _Meta() for tv in tvs}) if tvs else generic
+            ety = _instance(generic, {tv: _Meta() for tv in tvs}) if tvs else generic
             if ann is not None and ann is not ety:
                 self._unify_at(ety, ann, off, f"annotation does not fit constant {name!r}")
             return (ety, _P_CONST, name)
@@ -542,38 +571,6 @@ class _Elab:
         elif ann is not None:
             self._unify_at(ety, ann, off, f"conflicting types for free variable {name!r}")
         return (ety, _P_VAR, name)
-
-    def _abs(self, p) -> tuple:
-        _, name, ann, body, off = p
-        if name in self.constants:
-            raise ParseError(f"binder variable {name!r} shadows a constant {self._at(off)}")
-        vty = ann if ann is not None else _Meta()
-        self.scope.setdefault(name, []).append(vty)
-        self.names.append(name)
-        bplan = self.elab(body)
-        self.names.pop()
-        self.scope[name].pop()
-        return (mk_fun(vty, bplan[0]), _P_ABS, name, vty, bplan)
-
-    def _hole(self, p) -> tuple:
-        # Hole contents live outside the quotation: the binders entered since
-        # the outermost open quotation began are out of scope in them.
-        _, body, ann, off = p
-        saved, names, scope = self.saved, self.names, self.scope
-        hidden = names[saved:]
-        del names[saved:]
-        entries = [scope[n].pop() for n in reversed(hidden)]
-        self.saved = None
-        cplan = self.elab(body)
-        self.saved = saved
-        for n, entry in zip(hidden, reversed(entries)):
-            scope[n].append(entry)
-        names.extend(hidden)
-        if cplan[0] is not self.eps:
-            self._unify_at(
-                cplan[0], self.eps, off, "hole content must be a construction (type epsilon)"
-            )
-        return (ann if ann is not None else _Meta(), _P_HOLE, cplan)
 
 
 def _build(plan) -> Term:
@@ -602,17 +599,18 @@ def _build(plan) -> Term:
 
 
 def parse_type(text: str) -> HolType:
-    par = _Parser(text)
-    ty = par.type_()
-    par.expect_eof()
+    reader = _Reader(text)
+    ty = reader.type_()
+    reader.expect_eof()
     return ty
 
 
 def parse_term(text: str) -> Term:
-    par = _Parser(text)
-    tree = par.term()
-    par.expect_eof()
-    plan = _Elab(text).elab(tree)
+    reader = _Reader(text)
+    plan = reader.term()
+    reader.expect_eof()
+    if reader.error is not None:
+        raise reader.error
     try:
         return _build(plan)
     except _Unresolved:
@@ -809,60 +807,37 @@ def tree_to_sexp(tree) -> str:
     return "(" + " ".join(tree_to_sexp(x) for x in tree) + ")"
 
 
+# one s-expression token, by group: an open or a close parenthesis, a string
+# (its text still escaped), an unterminated string, or any other character
+_SEXP_TOKEN = re.compile(r'''\s*(?:(\()|(\))|"([^"\\]*(?:\\.[^"\\]*)*)"|(")|(\S))''', re.S)
+_SEXP_ESCAPE = re.compile(r"\\(.)", re.S)
+
+
 def sexp_to_tree(text: str):
-    toks = _sexp_lex(text)
-    tree, rest = _sexp_parse(toks, 0)
-    if rest != len(toks):
-        raise ParseError("trailing input after s-expression")
-    return tree
-
-
-def _sexp_lex(text: str):
-    toks = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "()":
-            toks.append(c)
-            i += 1
-        elif c == '"':
-            j = i + 1
-            out = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    out.append(text[j + 1])
-                    j += 2
-                else:
-                    out.append(text[j])
-                    j += 1
-            if j >= n:
-                raise ParseError("unterminated string in s-expression")
-            toks.append(("str", "".join(out)))
-            i = j + 1
+    stack = [[]]  # the items of each open list, outermost first
+    for m in _SEXP_TOKEN.finditer(text):
+        group = m.lastindex
+        if group == 1:
+            stack.append([])
+        elif group == 2:
+            if len(stack) == 1:
+                raise ParseError("unbalanced ')' in s-expression")
+            items = stack.pop()
+            stack[-1].append(tuple(items))
+        elif group == 3:
+            atom = m[3]
+            stack[-1].append(_SEXP_ESCAPE.sub(r"\1", atom) if "\\" in atom else atom)
+        elif group == 4:
+            raise ParseError("unterminated string in s-expression")
         else:
-            raise ParseError(f"unexpected character {c!r} in s-expression")
-    return toks
-
-
-def _sexp_parse(toks, i):
-    if i >= len(toks):
+            raise ParseError(f"unexpected character {m[5]!r} in s-expression")
+    if len(stack) > 1:
+        raise ParseError("unbalanced parentheses in s-expression")
+    if not stack[0]:
         raise ParseError("unexpected end of s-expression")
-    t = toks[i]
-    if t == "(":
-        items = []
-        i += 1
-        while i < len(toks) and toks[i] != ")":
-            item, i = _sexp_parse(toks, i)
-            items.append(item)
-        if i >= len(toks):
-            raise ParseError("unbalanced parentheses in s-expression")
-        return tuple(items), i + 1
-    if t == ")":
-        raise ParseError("unbalanced ')' in s-expression")
-    return t[1], i + 1
+    if len(stack[0]) > 1:
+        raise ParseError("trailing input after s-expression")
+    return stack[0][0]
 
 
 def tree_to_json(tree) -> str:

@@ -9,9 +9,8 @@ hit skips the formation checks, which depend only on the parts, except the
 two that read the active session: the arity check of every
 ``TypeApplication`` call and the signature check of every ``Constant`` call.
 So a type or a constant is always validated against the session that asks
-for it.  A type with an argument that is not a type (the elaborator's
-unification variables) stays out of the table and compares structurally;
-the elaborator replaces them before it builds a Term.
+for it.  A type's arguments must themselves be types; anything else, such
+as the elaborator's unification variables, is refused with ``IllTyped``.
 
 Terms are immutable.  A new node validates its own formation conditions
 once, in its class's ``__post_init__``, so a constructed Term is well-typed
@@ -118,15 +117,19 @@ class TypeApplication(HolType):
                 f"argument(s), got {len(arguments)}"
             )
         key = (constructor, arguments)
-        ty = _TYPES.get(key)
+        try:
+            ty = _TYPES.get(key)
+        except TypeError:  # an unhashable argument: refused below
+            ty = None
         if ty is None:
-            closed = all(type(a) in (TypeApplication, TypeVariable) for a in arguments)
-            ty = object.__new__(TypeApplication if closed else _OpenTypeApplication)
+            for a in arguments:
+                if type(a) is not TypeApplication and type(a) is not TypeVariable:
+                    raise IllTyped(f"type argument is not a type: {a!r}")
+            ty = object.__new__(TypeApplication)
             object.__setattr__(ty, "constructor", constructor)
             object.__setattr__(ty, "arguments", arguments)
             ty.__post_init__()
-            if closed:
-                ty = _TYPES.setdefault(key, ty)
+            ty = _TYPES.setdefault(key, ty)
         return ty
 
     def __post_init__(self):
@@ -143,23 +146,6 @@ class TypeApplication(HolType):
             return f"({self.arguments[0]!r}->{self.arguments[1]!r})"
         args = " ".join(repr(a) for a in self.arguments)
         return f"({self.constructor} {args})"
-
-
-class _OpenTypeApplication(TypeApplication):
-    """A type with an argument that is not an interned type, such as one of
-    the elaborator's unification variables: kept out of the table and
-    compared structurally."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        return (
-            type(other) is _OpenTypeApplication
-            and self.constructor == other.constructor
-            and self.arguments == other.arguments
-        )
-
-    __hash__ = HolType.__hash__
 
 
 def bool_ty() -> TypeApplication:

@@ -6,6 +6,8 @@ constructor constants and kept deliberately independent of the module
 under test — and by a handful of frozen literal trees.
 """
 
+import random
+
 import pytest
 
 from cqe.constructions import (
@@ -42,6 +44,7 @@ from cqe.syntax import (
     bool_ty,
     epsilon_ty,
     mk_fun,
+    map_parts,
     num_ty,
     subterms,
 )
@@ -284,6 +287,30 @@ def test_expand_quasiquote_reaches_nested_quotations():
     inner = Quotation(Hole(c, bool_ty()))
     expanded = expand_quasiquote(Quotation(inner))
     assert expanded == _ap("Quo", c)
+
+
+def _punch_holes(t, rng):
+    """t with random subterms s, never a binder's variable, replaced by a
+    hole whose content is the construction of s."""
+    if rng.random() < 0.25:
+        return Hole(term_to_construction(t), t.ty)
+    if isinstance(t, Abstraction):
+        return Abstraction(t.var, _punch_holes(t.body, rng))
+    return map_parts(t, _punch_holes, None, rng)
+
+
+def test_a_quotation_with_holes_reads_as_its_expansion_does():
+    rng = random.Random(47)
+    read = 0
+    for seed in range(150):
+        t = TermGen(seed).eval_free(depth=4)
+        q = Quotation(_punch_holes(t, rng))
+        if not q.has_hole:
+            continue
+        assert construction_to_term(q) is t
+        assert construction_to_term(expand_quasiquote(q)) is t
+        read += 1
+    assert read >= 100
 
 
 # ---------------------------------------------------------------------------

@@ -330,6 +330,10 @@ _MALFORMED = [
         None,
     ),
     ("?x y. x = y", ElaborationError, "could not infer a unique type; add an annotation", None),
+    # a type error before a syntax error: the syntax error is reported
+    ("T:num )", ParseError, "unexpected trailing input (at ')', 1:6)", (1, 6)),
+    ("\\T:bool. T )", ParseError, "unexpected trailing input (at ')', 1:11)", (1, 11)),
+    ("x:'a = y:'b )", ParseError, "unexpected trailing input (at ')', 1:12)", (1, 12)),
 ]
 
 
@@ -552,7 +556,15 @@ def test_json_round_trip():
 
 
 def test_sexp_rejects_garbage():
-    with pytest.raises(ParseError):
-        sexp_to_tree("(unclosed")
-    with pytest.raises(ParseError):
-        sexp_to_tree("")
+    for text in ["(unclosed", "", '("a"', ")", '"abc', '("a") ("b")', "(x)"]:
+        with pytest.raises(ParseError):
+            sexp_to_tree(text)
+
+
+def test_sexp_reads_deep_nesting():
+    depth = 5000
+    tree = sexp_to_tree('("a" ' * (depth - 1) + '("a")' + ")" * (depth - 1))
+    for _ in range(depth - 1):
+        assert len(tree) == 2 and tree[0] == "a"
+        tree = tree[1]
+    assert tree == ("a",)

@@ -99,12 +99,24 @@ def test_elaboration_enters_no_unification_variable_into_the_table():
     for i in range(1, 60):
         parse_term(f"(x{i}:num = y{i}) /\\ (\\z{i}. z{i}) (u{i}:bool)")
     assert len(_TYPES) == size
-    m = _Meta()
-    open_ty = mk_fun(num_ty(), m)
-    assert open_ty is not mk_fun(num_ty(), m)
-    assert open_ty == mk_fun(num_ty(), m)
-    assert hash(open_ty) == hash(mk_fun(num_ty(), m))
-    assert open_ty != mk_fun(num_ty(), _Meta())
+    with pytest.raises(IllTyped):
+        mk_fun(num_ty(), _Meta())
+    assert len(_TYPES) == size
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TypeApplication("fun", (bool_ty(), "junk")),
+        lambda: mk_fun(num_ty(), _Meta()),
+        lambda: TypeApplication("fun", (bool_ty(), [])),
+    ],
+    ids=["str", "meta", "unhashable"],
+)
+def test_a_type_argument_must_be_a_type(build):
+    size = len(_TYPES)
+    with pytest.raises(IllTyped):
+        build()
     assert len(_TYPES) == size
 
 
