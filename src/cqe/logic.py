@@ -2,11 +2,12 @@
 
 Everything here is *derived*: connectives are introduced by definition, their
 rules are proved once against a handful of schematic variables during
-bootstrap, and the rule functions merely instantiate those support theorems.
+bootstrap, and the rule functions merely instantiate those support theorems
+(``SPEC`` instantiates ``spec_elim``, ``(!) P |- P x``, and ``GEN`` ``gen``).
 Instantiation replaces schematic variables as leaves, so the derived rules
 work uniformly for payloads containing quotations and evaluations — the
 delicate substitution cases were already dealt with when the support theorem
-was proved over plain boolean variables.
+was proved over plain variables.
 
 The module also hosts the trusted conversions: decision procedures for the
 syntactic predicates (is-expression-of-type, is-free-in, the arithmetic
@@ -240,24 +241,22 @@ def SPEC(t: Term, th: Theorem) -> Theorem:
         raise WrongShape("SPEC expects a universal theorem")
     f = th.concl.arg
     alpha = f.ty.arguments[0]
-    pth = INST_TYPE(((TypeVariable("'A"), alpha),), _basis("spec"))
-    pth = INST(((Variable("P", mk_fun(alpha, bool_ty())), f),), pth)
-    th2 = EQ_MP(pth, th)
-    lam_t = dest_eq(th2.concl)[1]
-    th3 = AP_THM(th2, t)
-    th4 = TRANS(th3, BETA_CONV(Application(lam_t, t)))
+    ft = Application(f, t)
+    pth = INST_TYPE(((TypeVariable("'A"), alpha),), _basis("spec_elim"))
+    P, x = Variable("P", mk_fun(alpha, bool_ty())), Variable("x", alpha)
+    pth = INST(((P, f), (x, t)), pth)
+    pth = PROVE_HYP(th, pth)
     if isinstance(f, Abstraction):
-        lred = BETA_CONV(Application(f, t))
-        return EQT_ELIM(TRANS(SYM(lred), th4))
-    return EQT_ELIM(th4)
+        return EQ_MP(BETA_CONV(ft), pth)
+    return pth
 
 
 def GEN(x: Variable, th: Theorem) -> Theorem:
     ath = ABS(x, EQT_INTRO(th))
-    pth = INST_TYPE(((TypeVariable("'A"), x.ty),), _basis("spec"))
+    pth = INST_TYPE(((TypeVariable("'A"), x.ty),), _basis("gen"))
     lam = Abstraction(x, th.concl)
-    pth2 = INST(((Variable("P", mk_fun(x.ty, bool_ty())), lam),), pth)
-    return EQ_MP(SYM(pth2), ath)
+    pth = INST(((Variable("P", mk_fun(x.ty, bool_ty())), lam),), pth)
+    return EQ_MP(pth, ath)
 
 
 def DISJ1(th: Theorem, q: Term) -> Theorem:
@@ -391,7 +390,11 @@ def bootstrap_logic(s) -> None:
         "!", Abstraction(P, mk_eq(P, Abstraction(x, T)))
     )
     s.theorems["FORALL_DEF"] = forall_def
-    s.basis["spec"] = _unfold(forall_def, P)
+    s.basis["spec"] = spec = _unfold(forall_def, P)
+    # SPEC and GEN instantiate these rather than unfold FORALL_DEF per call
+    th = _unfold(EQ_MP(spec, ASSUME(dest_eq(spec.concl)[0])), x)
+    s.basis["spec_elim"] = EQT_ELIM(th)
+    s.basis["gen"] = SYM(spec)
 
     # existential quantifier
     xv = Variable("x", A)

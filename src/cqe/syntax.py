@@ -108,7 +108,10 @@ class TypeApplication(HolType):
         if type(arguments) is not tuple:
             arguments = tuple(arguments)
         # validated against the asking session on every call, hit or miss
-        arity = session.arity_table().get(constructor)
+        try:
+            arity = session.arity_table().get(constructor)
+        except TypeError:  # an unhashable name names no constructor
+            arity = None
         if arity is None:
             raise UnknownName(f"unknown type constructor: {constructor!r}")
         if arity != len(arguments):
@@ -332,11 +335,15 @@ class Constant(Term):
         generic = session.current().constants.get(self.name)
         if generic is None:
             raise UnknownName(f"unknown constant: {self.name!r}")
-        if self.ty is not generic and not match_type(generic, self.ty, {}):
-            raise IllTyped(
-                f"constant {self.name!r} at type {self.ty!r} is not an "
-                f"instance of its generic type {generic!r}"
-            )
+        # match_type is a pure function of two interned types: once is enough
+        d = self.__dict__
+        if self.ty is not generic and d.get("_generic") is not generic:
+            if not match_type(generic, self.ty, {}):
+                raise IllTyped(
+                    f"constant {self.name!r} at type {self.ty!r} is not an "
+                    f"instance of its generic type {generic!r}"
+                )
+            d["_generic"] = generic
 
 
 class Application(Term):

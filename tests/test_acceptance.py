@@ -101,12 +101,19 @@ def test_excluded_middle_schema_and_exact_instance():
     )
     assert thms["lem"].concl == want
     assert not thms["lem"].hyps
+    # provenance is pinned too, so a derived-rule rewrite cannot change it
+    assert thms["lem"].axioms == {"BOOL_CASES_AX"}
+    assert not thms["lem"].trusted
 
     session.reset()
     thms = run_script("lem_instance.cqe")
     p = mk_disj(T, F)
     assert thms["lem_inst"].concl == mk_disj(p, mk_neg(p))
     assert not thms["lem_inst"].hyps
+    assert thms["lem_inst"].axioms == {"BOOL_CASES_AX"}
+    assert thms["lem_inst"].trusted == {
+        "EVAL_CONV", "IS_EXPR_TYPE_CONV", "IS_FREE_IN_CONV",
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +136,10 @@ def test_peano_and_presburger_induction_schemas():
         th = thms[name]
         assert th.concl == want
         assert not th.hyps
+        # ROADMAP item 1 removes nei_peano/nei_presburger from these on
+        # purpose; changing this pin is a release decision
+        assert th.axioms == {f"nei_{name}", "num_INDUCTION"}
+        assert not th.trusted
 
 
 # ---------------------------------------------------------------------------

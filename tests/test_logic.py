@@ -2,9 +2,11 @@
 
 import pytest
 
-from cqe import session
+from cqe import logic, session
 from cqe.constructions import term_to_construction, type_to_construction
 from cqe.errors import (
+    ContainsHole,
+    CqeError,
     FreeOccurrence,
     IllTyped,
     KernelError,
@@ -16,16 +18,24 @@ from cqe.errors import (
 )
 from cqe.frontend import parse_term, print_term
 from cqe.kernel import (
+    ABS,
     ASSUME,
+    EQ_MP,
     INST,
+    INST_TYPE,
     REFL,
+    TRANS,
+    dest_eq,
     mk_conj,
     mk_disj,
     mk_eq,
     mk_imp,
     mk_neg,
+    mk_not_effective,
+    new_axiom,
     new_constant,
     new_type_constructor,
+    register_not_effective,
 )
 from cqe.logic import (
     AP_TERM,
@@ -62,8 +72,11 @@ from cqe.syntax import (
     Application,
     Constant,
     Evaluation,
+    Hole,
     Quotation,
+    TypeVariable,
     Variable,
+    _frees,
     alpha_equivalent,
     bool_ty,
     epsilon_ty,
@@ -362,6 +375,154 @@ def test_spec_suspends_at_quotation_argument():
     out = SPEC(q, lem_style)
     susp = Application(Abstraction(x, Evaluation(x, bool_ty())), q)
     assert out.concl == mk_disj(susp, mk_neg(susp))
+
+
+# Reference oracles: SPEC and GEN derived from the unfolded FORALL_DEF,
+# (!) P = (P = \x. T), on every call.
+
+
+def _spec_by_forall_def(t, th):
+    f = th.concl.arg
+    alpha = f.ty.arguments[0]
+    pth = INST_TYPE(((TypeVariable("'A"), alpha),), session.current().basis["spec"])
+    pth = INST(((Variable("P", mk_fun(alpha, bool_ty())), f),), pth)
+    th2 = EQ_MP(pth, th)
+    lam_t = dest_eq(th2.concl)[1]
+    th3 = AP_THM(th2, t)
+    th4 = TRANS(th3, BETA_CONV(Application(lam_t, t)))
+    if isinstance(f, Abstraction):
+        lred = BETA_CONV(Application(f, t))
+        return EQT_ELIM(TRANS(SYM(lred), th4))
+    return EQT_ELIM(th4)
+
+
+def _gen_by_forall_def(x, th):
+    ath = ABS(x, EQT_INTRO(th))
+    pth = INST_TYPE(((TypeVariable("'A"), x.ty),), session.current().basis["spec"])
+    lam = Abstraction(x, th.concl)
+    pth2 = INST(((Variable("P", mk_fun(x.ty, bool_ty())), lam),), pth)
+    return EQ_MP(SYM(pth2), ath)
+
+
+def _outcome(rule, *args):
+    try:
+        return rule(*args)
+    except CqeError as e:
+        return type(e)
+
+
+def _same(rule, oracle, *args):
+    """Apply rule and its oracle; assert the same theorem or the same error
+    class, and return the rule's outcome."""
+    new, old = _outcome(rule, *args), _outcome(oracle, *args)
+    if isinstance(old, type):
+        assert new is old
+    else:
+        assert new.concl is old.concl
+        assert new.hyps == old.hyps
+        assert new.axioms == old.axioms
+        assert new.trusted == old.trusted
+    return new
+
+
+def test_spec_and_gen_agree_with_unfolding_forall_def():
+    checked = 0
+    for seed in range(60):
+        gen = TermGen(seed, evals=seed % 2 == 1)
+        body = gen.term(bool_ty(), depth=3)
+        frees = sorted(_frees(body), key=lambda v: v.name)
+        xs = (frees + [gen.var(gen.type(1)) for _ in range(3)])[: 1 + seed % 3]
+        th = REFL(body)
+        for x in reversed(xs):
+            th = _same(GEN, _gen_by_forall_def, x, th)
+            assert not isinstance(th, type)
+        th = ASSUME(th.concl)
+        for x in xs:
+            th = _same(SPEC, _spec_by_forall_def, gen.term(x.ty, depth=2), th)
+            if isinstance(th, type):
+                break
+            checked += 1
+    assert checked >= 60
+
+
+def test_spec_under_registered_not_effective_facts_agrees():
+    # the binder_chain pattern: SPEC of x1 suspends its substitution into the
+    # evaluation, and the registered fact for x2 keeps the next SPEC out of it
+    n = num_ty()
+    ev = Evaluation(Variable("e", epsilon_ty()), bool_ty())
+    for name in ("x1", "x2"):
+        register_not_effective(
+            new_axiom(f"nei_{name}", mk_not_effective(Variable(name, n), ev))
+        )
+    th = ASSUME(parse_term(
+        "!x1:num. !x2:num. (x1 = x2) /\\ (SUC x2 = (+) x1 c:num)"
+        " /\\ eval e:epsilon to bool"
+    ))
+    for t in ("_0", "SUC y2:num"):
+        th = _same(SPEC, _spec_by_forall_def, parse_term(t), th)
+    assert th.axioms == {"nei_x2"}
+    assert th.concl == parse_term(
+        "(_0 = SUC y2:num) /\\ (SUC (SUC y2) = (+) _0 c:num)"
+        " /\\ (\\x1:num. eval e:epsilon to bool) _0"
+    )
+
+
+def test_spec_and_gen_agree_on_edge_cases():
+    n = num_ty()
+    a = TypeVariable("'a")
+    pn = Variable("P", mk_fun(n, bool_ty()))
+    forall_p = Application(
+        Constant("!", mk_fun(mk_fun(n, bool_ty()), bool_ty())), pn
+    )
+    refl_n = parse_term("!n:num. n = n")
+    zero = parse_term("_0")
+    # an argument that forces the inner binder to be renamed
+    out = _same(SPEC, _spec_by_forall_def, Variable("y", n),
+                ASSUME(parse_term("!x:num. !y:num. x = y")))
+    assert out.concl.arg.var != Variable("y", n)
+    # a quantified variable, not an abstraction
+    out = _same(SPEC, _spec_by_forall_def, Variable("m", n), ASSUME(forall_p))
+    assert out.concl == Application(pn, Variable("m", n))
+    # a binder of a type variable
+    xa = Variable("x", a)
+    _same(SPEC, _spec_by_forall_def, Variable("y", a),
+          ASSUME(parse_term("!x:'a. x = x")))
+    _same(GEN, _gen_by_forall_def, xa, REFL(xa))
+    # a premise that already has the instance among its hypotheses
+    for all_f, t in ((refl_n, zero), (forall_p, Variable("m", n))):
+        ft = Application(all_f.arg, t)
+        th = CONJUNCT1(CONJ(ASSUME(all_f), ASSUME(ft)))
+        out = _same(SPEC, _spec_by_forall_def, t, th)
+        assert out.hyps == {all_f, ft}
+
+
+def test_spec_refusals_keep_their_classes():
+    th = ASSUME(parse_term("!n:num. n = n"))
+    with pytest.raises(IllTyped):
+        SPEC(T, th)
+    with pytest.raises(WrongShape):
+        SPEC(T, theorem("TRUTH"))
+    with pytest.raises(ContainsHole, match="cannot substitute"):
+        SPEC(Hole(Variable("c", epsilon_ty()), num_ty()), th)
+
+
+def test_spec_at_an_abstraction_makes_few_kernel_rule_applications(monkeypatch):
+    calls = []
+
+    def counted(name, rule):
+        def wrapper(*args):
+            calls.append(name)
+            return rule(*args)
+
+        return wrapper
+
+    for name, rule in list(vars(logic).items()):
+        if name.isupper() and getattr(rule, "__module__", None) == "cqe.kernel":
+            monkeypatch.setattr(logic, name, counted(name, rule))
+    th = ASSUME(parse_term("!n:num. n = n"))
+    out = SPEC(parse_term("SUC _0"), th)
+    assert out.concl == parse_term("SUC _0 = SUC _0")
+    assert len(calls) <= 8, calls
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import weakref
 
 import pytest
 
-from cqe import session
+from cqe import session, syntax
 from cqe.errors import (
     HoleOutsideQuotation,
     IllTyped,
@@ -65,6 +65,9 @@ def test_type_arity_enforced():
         TypeApplication("fun", (bool_ty(),))
     with pytest.raises(UnknownName):
         TypeApplication("mystery", ())
+    for name in (None, [], {}):  # unhashable names are unknown names too
+        with pytest.raises(UnknownName):
+            TypeApplication(name, ())
 
 
 def test_equal_types_are_one_object():
@@ -281,6 +284,22 @@ def test_a_table_hit_still_checks_a_constant():
     with pytest.raises(IllTyped):
         Constant("k", bool_ty())
     assert c.ty is bool_ty()  # the node stayed in the table all along
+
+
+def test_a_table_hit_matches_a_constant_type_once(monkeypatch):
+    matched = []
+
+    def counting(generic, concrete, env):
+        matched.append(concrete)
+        return match_type(generic, concrete, env)
+
+    new_constant("kpoly", mk_fun(TypeVariable("'a"), bool_ty()))
+    monkeypatch.setattr(syntax, "match_type", counting)
+    c = Constant("kpoly", mk_fun(num_ty(), bool_ty()))
+    assert matched[0] is c.ty  # the first formation matches the type
+    matched.clear()
+    assert Constant("kpoly", mk_fun(num_ty(), bool_ty())) is c
+    assert matched == []  # the hit, against the same generic, does not
 
 
 def test_the_table_does_not_keep_terms_alive():
