@@ -68,17 +68,17 @@ RULE_SIGS = {
     "DEDUCT_ANTISYM": (kernel.DEDUCT_ANTISYM, [THM, THM], 2),
     "LAW_OF_QUO": (kernel.LAW_OF_QUO, [TERM], 1),
     "QUO_STEP": (kernel.QUO_STEP, [TERM], 1),
-    "VAR_DISQUO": (kernel.VAR_DISQUO, [TERM], 1),
-    "CONST_DISQUO": (kernel.CONST_DISQUO, [TERM], 1),
     "DISQUO": (kernel.DISQUO, [TERM, TYPE], 1),
     "APP_SPLIT": (kernel.APP_SPLIT, [TERM, TERM, TYPE, TYPE], 4),
     "ABS_SPLIT": (kernel.ABS_SPLIT, [VAR, TERM, TYPE], 3),
     "QUOTABLE": (kernel.QUOTABLE, [TERM], 1),
-    "BETA_EVAL": (kernel.BETA_EVAL, [VAR, TERM, TYPE], 3),
     "BETA_REVAL": (kernel.BETA_REVAL, [VAR, TERM, TERM, TYPE], 4),
     "NOT_FREE_OR_EFFECTIVE_IN": (kernel.NOT_FREE_OR_EFFECTIVE_IN, [VAR, TERM], 2),
     "NEITHER_EFFECTIVE": (kernel.NEITHER_EFFECTIVE, [VAR, VAR, TERM, TERM], 4),
     # derived
+    "VAR_DISQUO": (logic.VAR_DISQUO, [TERM], 1),
+    "CONST_DISQUO": (logic.CONST_DISQUO, [TERM], 1),
+    "BETA_EVAL": (logic.BETA_EVAL, [VAR, TERM, TYPE], 3),
     "SYM": (logic.SYM, [THM], 1),
     "AP_TERM": (logic.AP_TERM, [TERM, THM], 2),
     "AP_THM": (logic.AP_THM, [THM, TERM], 2),

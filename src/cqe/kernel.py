@@ -6,6 +6,14 @@ theorem records in its ``trusted`` field).  Each theorem also carries the set
 of named axioms its derivation touched, so a result's assumptions are always
 auditable.
 
+The kernel has nineteen primitive rules.  Ten are the classical core —
+``REFL``, ``TRANS``, ``MK_COMB``, ``ABS``, ``BETA``, ``ASSUME``, ``EQ_MP``,
+``DEDUCT_ANTISYM``, ``INST``, ``INST_TYPE`` — and nine are about quotation
+and evaluation — ``LAW_OF_QUO``, ``QUO_STEP``, ``DISQUO``, ``APP_SPLIT``,
+``ABS_SPLIT``, ``QUOTABLE``, ``BETA_REVAL``, ``NOT_FREE_OR_EFFECTIVE_IN``,
+``NEITHER_EFFECTIVE``.  Every other rule is derived from these in
+:mod:`cqe.logic`.
+
 Substitution here is not the textbook operation.  Because an evaluation
 ``eval c to ty`` re-reads the environment when the represented term is
 produced, a variable can matter to a term without occurring in it — "x is not
@@ -79,9 +87,8 @@ __all__ = [
     "Theorem",
     "REFL", "TRANS", "MK_COMB", "ABS", "BETA", "ASSUME", "EQ_MP",
     "DEDUCT_ANTISYM", "INST", "INST_TYPE",
-    "LAW_OF_QUO", "QUO_STEP", "VAR_DISQUO", "CONST_DISQUO", "DISQUO",
-    "APP_SPLIT", "ABS_SPLIT", "QUOTABLE", "BETA_EVAL", "BETA_REVAL",
-    "NOT_FREE_OR_EFFECTIVE_IN", "NEITHER_EFFECTIVE",
+    "LAW_OF_QUO", "QUO_STEP", "DISQUO", "APP_SPLIT", "ABS_SPLIT", "QUOTABLE",
+    "BETA_REVAL", "NOT_FREE_OR_EFFECTIVE_IN", "NEITHER_EFFECTIVE",
     "register_not_effective", "new_type_constructor", "new_constant",
     "new_axiom", "new_basic_definition",
     "vsubst", "inst_type",
@@ -654,6 +661,8 @@ def LAW_OF_QUO(q: Term) -> Theorem:
 
 def QUO_STEP(q: Term) -> Theorem:
     """Unfold one layer of a quotation into syntax constructors."""
+    # Primitive although LAW_OF_QUO, MK_COMB, TRANS and SYM derive it: that
+    # derivation encodes the body twice and is 20 to 50 times slower per call.
     q = _want_quotation(q)
     b = q.body
     if isinstance(b, (Variable, Constant)):
@@ -664,28 +673,15 @@ def QUO_STEP(q: Term) -> Theorem:
     return _thm((), mk_eq(q, rhs))
 
 
-def VAR_DISQUO(q: Term) -> Theorem:
-    if not isinstance(q, Quotation) or not isinstance(q.body, Variable):
-        raise NotAtomicQuote("expected the quotation of a variable")
-    return _thm((), mk_eq(Evaluation(q, q.body.ty), q.body))
-
-
-def CONST_DISQUO(q: Term) -> Theorem:
-    if not isinstance(q, Quotation) or not isinstance(q.body, Constant):
-        raise NotAtomicQuote("expected the quotation of a constant")
-    return _thm((), mk_eq(Evaluation(q, q.body.ty), q.body))
-
-
 def DISQUO(q: Term, ty: HolType | None = None) -> Theorem:
+    """Disquote an atom: eval Q_ a _Q to ty = a, for a variable or constant a."""
     if not isinstance(q, Quotation) or not isinstance(q.body, (Variable, Constant)):
         raise NotAtomicQuote("expected the quotation of a variable or constant")
     if ty is not None and ty != q.body.ty:
         raise TypeMismatch(
             f"stated type {ty!r} differs from the quoted atom's type {q.body.ty!r}"
         )
-    if isinstance(q.body, Variable):
-        return VAR_DISQUO(q)
-    return CONST_DISQUO(q)
+    return _thm((), mk_eq(Evaluation(q, q.body.ty), q.body))
 
 
 def _want_epsilon(t: Term, role: str) -> None:
@@ -738,19 +734,6 @@ def QUOTABLE(a: Term) -> Theorem:
     ante = mk_is_expr_type(a, epsilon_ty())
     lhs = Evaluation(Application(constructor_constant("Quo"), a), epsilon_ty())
     return _thm((), mk_imp(ante, mk_eq(lhs, a)))
-
-
-def BETA_EVAL(x: Variable, b: Term, beta: HolType) -> Theorem:
-    """(\\x. eval b to beta) x  =  eval b to beta.
-
-    The trivial-instantiation law for suspended substitutions; b may itself
-    contain evaluations.
-    """
-    if not isinstance(x, Variable):
-        raise NotAVariable("BETA_EVAL needs the bound variable")
-    _want_epsilon(b, "the evaluated construction")
-    ev = Evaluation(b, beta)
-    return _thm((), mk_eq(Application(Abstraction(x, ev), x), ev))
 
 
 def BETA_REVAL(x: Variable, b: Term, a: Term, beta: HolType) -> Theorem:

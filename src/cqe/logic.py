@@ -7,7 +7,9 @@ bootstrap, and the rule functions merely instantiate those support theorems
 Instantiation replaces schematic variables as leaves, so the derived rules
 work uniformly for payloads containing quotations and evaluations — the
 delicate substitution cases were already dealt with when the support theorem
-was proved over plain variables.
+was proved over plain variables.  The script rules ``VAR_DISQUO``,
+``CONST_DISQUO`` and ``BETA_EVAL`` are instances of the kernel's ``DISQUO``
+and ``BETA``.
 
 The module also hosts the trusted conversions: decision procedures for the
 syntactic predicates (is-expression-of-type, is-free-in, the arithmetic
@@ -41,6 +43,8 @@ from .errors import (
     IllTyped,
     Improper,
     KernelError,
+    NotAtomicQuote,
+    NotAVariable,
     NotClosed,
     NotEvalFree,
     TypeMismatch,
@@ -51,6 +55,7 @@ from .kernel import (
     ASSUME,
     BETA,
     DEDUCT_ANTISYM,
+    DISQUO,
     EQ_MP,
     INST,
     INST_TYPE,
@@ -81,6 +86,8 @@ from .syntax import (
     Application,
     Constant,
     Evaluation,
+    HolType,
+    Quotation,
     Term,
     TypeVariable,
     Variable,
@@ -181,6 +188,39 @@ def SUBS(eqth: Theorem, th: Theorem) -> Theorem:
     if cth is None:
         return th
     return EQ_MP(cth, th)
+
+
+# ---------------------------------------------------------------------------
+# derived quotation and evaluation rules
+# ---------------------------------------------------------------------------
+
+
+def VAR_DISQUO(q: Term) -> Theorem:
+    if not isinstance(q, Quotation) or not isinstance(q.body, Variable):
+        raise NotAtomicQuote("expected the quotation of a variable")
+    return DISQUO(q)
+
+
+def CONST_DISQUO(q: Term) -> Theorem:
+    if not isinstance(q, Quotation) or not isinstance(q.body, Constant):
+        raise NotAtomicQuote("expected the quotation of a constant")
+    return DISQUO(q)
+
+
+def BETA_EVAL(x: Variable, b: Term, beta: HolType) -> Theorem:
+    """(\\x. eval b to beta) x  =  eval b to beta, an instance of BETA.
+
+    The trivial-instantiation law for suspended substitutions; b may itself
+    contain evaluations.
+    """
+    if not isinstance(x, Variable):
+        raise NotAVariable("BETA_EVAL needs the bound variable")
+    if b.ty != epsilon_ty():
+        raise IllTyped("the evaluated construction must have type epsilon")
+    # checked before Evaluation, which would raise HoleOutsideQuotation
+    if b.has_naked_hole:
+        raise ContainsHole("the evaluated construction contains a hole outside quotations")
+    return BETA(Application(Abstraction(x, Evaluation(b, beta)), x))
 
 
 # ---------------------------------------------------------------------------
@@ -549,21 +589,6 @@ def install_datatype_facts(s) -> None:
         s.theorems[name] = new_axiom(name, stmt)
 
 
-def datatype_facts() -> dict:
-    s = session.current()
-    return {
-        name: s.theorems[name]
-        for name in (
-            "epsilon_distinct",
-            "epsilon_injective",
-            "epsilon_induction",
-            "type_distinct",
-            "type_injective",
-            "type_induction",
-        )
-    }
-
-
 # ---------------------------------------------------------------------------
 # arithmetic signature
 # ---------------------------------------------------------------------------
@@ -653,10 +678,11 @@ def EVAL_CONV(e: Term) -> Theorem:
 _FO_CONNECTIVES = {"/\\", "\\/", "~", "==>"}
 
 
-def _arith_term_ok(t: Term, allow_mul: bool) -> bool:
+def _arith_term_ok(t: Term, allow_mul: bool, bound: frozenset) -> bool:
+    # closed reading: a variable is accepted only where a binder above binds it
     n = num_ty()
     if isinstance(t, Variable):
-        return t.ty == n
+        return t in bound
     if isinstance(t, Constant):
         if t.name in ("_0", "SUC", "+"):
             return True
@@ -670,9 +696,11 @@ def _arith_term_ok(t: Term, allow_mul: bool) -> bool:
             return t.ty == mk_fun(mk_fun(n, bool_ty()), bool_ty())
         return False
     if isinstance(t, Application):
-        return _arith_term_ok(t.fn, allow_mul) and _arith_term_ok(t.arg, allow_mul)
+        return _arith_term_ok(t.fn, allow_mul, bound) and _arith_term_ok(
+            t.arg, allow_mul, bound
+        )
     if isinstance(t, Abstraction):
-        return t.var.ty == n and _arith_term_ok(t.body, allow_mul)
+        return t.var.ty == n and _arith_term_ok(t.body, allow_mul, bound | {t.var})
     return False
 
 
@@ -680,7 +708,9 @@ def _arith_conv(c: Term, const_name: str, allow_mul: bool, tag: str) -> Theorem:
     _conv_input(c, "the construction argument", epsilon_ty())
     try:
         t = construction_to_term(c)
-        verdict = t.ty == mk_fun(num_ty(), bool_ty()) and _arith_term_ok(t, allow_mul)
+        verdict = t.ty == mk_fun(num_ty(), bool_ty()) and _arith_term_ok(
+            t, allow_mul, frozenset()
+        )
     except Improper:
         verdict = False
     stmt = Application(
@@ -690,7 +720,8 @@ def _arith_conv(c: Term, const_name: str, allow_mul: bool, tag: str) -> Theorem:
 
 
 def IS_PEANO_CONV(c: Term) -> Theorem:
-    """Decide whether a construction denotes a first-order arithmetic predicate."""
+    """Decide whether a construction denotes a closed first-order arithmetic
+    predicate."""
     return _arith_conv(c, "isPeano", True, "IS_PEANO_CONV")
 
 
@@ -699,26 +730,17 @@ def IS_PRESBURGER_CONV(c: Term) -> Theorem:
     return _arith_conv(c, "isPresburger", False, "IS_PRESBURGER_CONV")
 
 
-def _pred_type_theorem(const_name: str, tag: str) -> Theorem:
+def define_arith_predicates(s) -> None:
+    """Declare isPeano and isPresburger, each with the named axiom that what
+    it accepts is a construction of type num->bool."""
     c = Variable("c", epsilon_ty())
-    stmt = Application(
-        Constant(const_name, mk_fun(epsilon_ty(), bool_ty())), c
-    )
-    concl = mk_forall(
-        c, mk_imp(stmt, mk_is_expr_type(c, mk_fun(num_ty(), bool_ty())))
-    )
-    return trusted_theorem(concl, tag)
-
-
-def define_is_peano(s) -> Theorem:
-    new_constant("isPeano", mk_fun(epsilon_ty(), bool_ty()))
-    th = _pred_type_theorem("isPeano", "IS_PEANO_CONV")
-    s.theorems["PEANO_PRED_TYPE"] = th
-    return th
-
-
-def define_is_presburger(s) -> Theorem:
-    new_constant("isPresburger", mk_fun(epsilon_ty(), bool_ty()))
-    th = _pred_type_theorem("isPresburger", "IS_PRESBURGER_CONV")
-    s.theorems["PRESBURGER_PRED_TYPE"] = th
-    return th
+    for const_name, ax_name in (
+        ("isPeano", "PEANO_PRED_TYPE"),
+        ("isPresburger", "PRESBURGER_PRED_TYPE"),
+    ):
+        pred = new_constant(const_name, mk_fun(epsilon_ty(), bool_ty()))
+        concl = mk_forall(
+            c,
+            mk_imp(Application(pred, c), mk_is_expr_type(c, mk_fun(num_ty(), bool_ty()))),
+        )
+        s.theorems[ax_name] = new_axiom(ax_name, concl)

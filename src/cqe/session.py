@@ -112,5 +112,4 @@ def _populate(s: Session) -> None:
     logic.bootstrap_logic(s)
     logic.install_datatype_facts(s)
     logic.arithmetic_base(s)
-    logic.define_is_peano(s)
-    logic.define_is_presburger(s)
+    logic.define_arith_predicates(s)

@@ -155,10 +155,6 @@ def bool_ty() -> TypeApplication:
     return TypeApplication("bool", ())
 
 
-def ind_ty() -> TypeApplication:
-    return TypeApplication("ind", ())
-
-
 def epsilon_ty() -> TypeApplication:
     return TypeApplication("epsilon", ())
 
@@ -177,12 +173,6 @@ def str_ty() -> TypeApplication:
 
 def mk_fun(dom: HolType, cod: HolType) -> TypeApplication:
     return TypeApplication("fun", (dom, cod))
-
-
-def dest_fun(ty: HolType) -> tuple:
-    if isinstance(ty, TypeApplication) and ty.constructor == "fun" and len(ty.arguments) == 2:
-        return ty.arguments
-    raise IllTyped(f"not a function type: {ty!r}")
 
 
 def is_fun(ty: HolType) -> bool:
@@ -391,10 +381,6 @@ class Quotation(Term):
                 "cannot quote a term containing an evaluation outside holes"
             )
         self._seal(epsilon_ty(), self.body.eval_free, True, self.body.has_hole, False)
-
-    @property
-    def body_type(self) -> HolType:
-        return self.body.ty
 
 
 class Hole(Term):

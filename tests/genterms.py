@@ -19,6 +19,7 @@ from cqe.constructions import (
     name_literal,
     type_to_construction,
 )
+from cqe.errors import IllTyped
 from cqe.kernel import (
     mk_conj,
     mk_disj,
@@ -36,15 +37,25 @@ from cqe.syntax import (
     Hole,
     Quotation,
     Term,
+    TypeApplication,
     Variable,
     bool_ty,
-    dest_fun,
     epsilon_ty,
-    ind_ty,
     is_fun,
     mk_fun,
     num_ty,
 )
+
+
+def ind_ty() -> TypeApplication:
+    return TypeApplication("ind", ())
+
+
+def dest_fun(ty) -> tuple:
+    if is_fun(ty):
+        return ty.arguments
+    raise IllTyped(f"not a function type: {ty!r}")
+
 
 _BASES = (bool_ty, num_ty, ind_ty, epsilon_ty)
 

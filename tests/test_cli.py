@@ -183,6 +183,16 @@ def test_a_constant_not_yet_declared_is_refused(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"{path}:1: error: IS_EXPR_TYPE_CONV: UnknownName: ")
 
+def test_an_arithmetic_predicate_with_a_free_variable_is_refused(tmp_path, capsys):
+    path = write(
+        tmp_path,
+        "thm a := (IS_PEANO_CONV `Q_ \\m:num. m = n:num _Q`)\n"
+        "check a matches `isPeano Q_ \\m:num. m = n:num _Q`\n",
+    )
+    assert main(["check", path]) == 1
+    assert "cqe:2: error: check a: conclusion is ~isPeano" in capsys.readouterr().err
+
+
 def test_unknown_rule_rejected(tmp_path, capsys):
     path = write(tmp_path, "thm r := (FROBNICATE `T`)\n")
     assert main(["check", path]) == 1
@@ -307,6 +317,23 @@ def test_export_includes_provenance(tmp_path, capsys):
     body = out.read_text()
     assert "nei_peano" in body  # axiom provenance is recorded
     assert '("trusted"' in body
+
+
+# Exports of the shipped scripts as written before the kernel lost its derived
+# rules; regenerate a file with
+#   PYTHONPATH=src python -m cqe.cli export src/cqe/scripts/S.cqe --format F --out tests/golden/S.F
+# only when a change to an export is intended.
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+@pytest.mark.parametrize("fmt", ["sexp", "json-like"])
+@pytest.mark.parametrize("name", ["lem", "lem_instance", "peano", "presburger"])
+def test_shipped_exports_match_the_goldens(tmp_path, capsys, name, fmt):
+    out = tmp_path / f"{name}.{fmt}"
+    argv = ["export", script(f"{name}.cqe"), "--out", str(out), "--format", fmt]
+    assert main(argv) == 0
+    with open(os.path.join(GOLDEN, f"{name}.{fmt}"), "rb") as fh:
+        assert out.read_bytes() == fh.read()
 
 
 # ---------------------------------------------------------------------------

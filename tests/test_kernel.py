@@ -29,9 +29,7 @@ from cqe.kernel import (
     APP_SPLIT,
     ASSUME,
     BETA,
-    BETA_EVAL,
     BETA_REVAL,
-    CONST_DISQUO,
     DEDUCT_ANTISYM,
     DISQUO,
     EQ_MP,
@@ -45,7 +43,6 @@ from cqe.kernel import (
     QUOTABLE,
     REFL,
     TRANS,
-    VAR_DISQUO,
     Theorem,
     dest_not_effective,
     inst_type,
@@ -81,7 +78,7 @@ from cqe.syntax import (
     num_ty,
 )
 
-from cqe.logic import SYM
+from cqe.logic import BETA_EVAL, CONST_DISQUO, SYM, VAR_DISQUO
 
 from genterms import TermGen
 

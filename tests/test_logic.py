@@ -2,7 +2,7 @@
 
 import pytest
 
-from cqe import logic, session
+from cqe import kernel, logic, session
 from cqe.constructions import term_to_construction, type_to_construction
 from cqe.errors import (
     ContainsHole,
@@ -11,8 +11,11 @@ from cqe.errors import (
     IllTyped,
     KernelError,
     NotAConstruction,
+    NotAtomicQuote,
+    NotAVariable,
     NotClosed,
     NotEvalFree,
+    TypeMismatch,
     UnknownName,
     WrongShape,
 )
@@ -20,6 +23,7 @@ from cqe.frontend import parse_term, print_term
 from cqe.kernel import (
     ABS,
     ASSUME,
+    DISQUO,
     EQ_MP,
     INST,
     INST_TYPE,
@@ -41,9 +45,11 @@ from cqe.logic import (
     AP_TERM,
     AP_THM,
     BETA_CONV,
+    BETA_EVAL,
     CONJ,
     CONJUNCT1,
     CONJUNCT2,
+    CONST_DISQUO,
     DISCH,
     DISJ1,
     DISJ2,
@@ -64,7 +70,7 @@ from cqe.logic import (
     SUBS,
     SYM,
     UNDISCH,
-    datatype_facts,
+    VAR_DISQUO,
     theorem,
 )
 from cqe.syntax import (
@@ -132,7 +138,6 @@ def test_num_induction_statement():
 
 
 def test_datatype_facts_are_axiomatic_and_shaped():
-    facts = datatype_facts()
     # one distinctness conjunct per unordered pair of the five term
     # constructors: C(5,2) = 10
     distinct = theorem("epsilon_distinct")
@@ -146,7 +151,6 @@ def test_datatype_facts_are_axiomatic_and_shaped():
         "type_injective",
         "type_induction",
     ):
-        assert name in facts
         assert theorem(name).axioms == {name}
 
 
@@ -525,6 +529,84 @@ def test_spec_at_an_abstraction_makes_few_kernel_rule_applications(monkeypatch):
     assert len(calls) <= 8, calls
 
 
+# Reference oracles: BETA_EVAL, VAR_DISQUO, CONST_DISQUO and the dispatching
+# DISQUO as they were when all four were kernel primitives.
+
+
+def _beta_eval_primitive(x, b, beta):
+    if not isinstance(x, Variable):
+        raise NotAVariable("BETA_EVAL needs the bound variable")
+    kernel._want_epsilon(b, "the evaluated construction")
+    ev = Evaluation(b, beta)
+    return kernel._thm((), mk_eq(Application(Abstraction(x, ev), x), ev))
+
+
+def _var_disquo_primitive(q):
+    if not isinstance(q, Quotation) or not isinstance(q.body, Variable):
+        raise NotAtomicQuote("expected the quotation of a variable")
+    return kernel._thm((), mk_eq(Evaluation(q, q.body.ty), q.body))
+
+
+def _const_disquo_primitive(q):
+    if not isinstance(q, Quotation) or not isinstance(q.body, Constant):
+        raise NotAtomicQuote("expected the quotation of a constant")
+    return kernel._thm((), mk_eq(Evaluation(q, q.body.ty), q.body))
+
+
+def _disquo_dispatch(q, ty=None):
+    if not isinstance(q, Quotation) or not isinstance(q.body, (Variable, Constant)):
+        raise NotAtomicQuote("expected the quotation of a variable or constant")
+    if ty is not None and ty != q.body.ty:
+        raise TypeMismatch("stated type differs from the quoted atom's type")
+    if isinstance(q.body, Variable):
+        return _var_disquo_primitive(q)
+    return _const_disquo_primitive(q)
+
+
+def test_beta_eval_agrees_with_the_primitive_rule():
+    made = refused = 0
+    for seed in range(80):
+        gen = TermGen(seed, evals=seed % 2 == 0, holes=seed % 3 == 0)
+        xty = gen.type(1)
+        x = gen.var(xty)
+        beta = gen.type(2)
+        cases = [
+            (x, gen.term(epsilon_ty(), depth=1 + seed % 3), beta),
+            (gen.term(xty, depth=1), gen.term(epsilon_ty(), depth=1), beta),
+            (x, gen.term(gen.type(1), depth=1), beta),
+            (x, Hole(gen.term(epsilon_ty(), depth=1), epsilon_ty()), beta),
+        ]
+        for args in cases:
+            out = _same(BETA_EVAL, _beta_eval_primitive, *args)
+            if isinstance(out, type):
+                refused += 1
+            else:
+                made += 1
+    assert made >= 80 and refused >= 120
+
+
+def test_disquotation_rules_agree_with_the_primitive_rules():
+    outcomes = {"var": 0, "const": 0, "refused": 0}
+    for seed in range(80):
+        gen = TermGen(seed)
+        ty = gen.type(1)
+        atoms = (gen.var(ty), gen.term(bool_ty(), depth=0), gen.term(num_ty(), depth=0))
+        for t in atoms + (gen.eval_free(ty, depth=2),):
+            q = Quotation(t)
+            for arg in (q, t):
+                _same(VAR_DISQUO, _var_disquo_primitive, arg)
+                _same(CONST_DISQUO, _const_disquo_primitive, arg)
+                for stated in (None, t.ty, gen.type(1)):
+                    out = _same(DISQUO, _disquo_dispatch, arg, stated)
+                    if isinstance(out, type):
+                        outcomes["refused"] += 1
+                    elif isinstance(t, Variable):
+                        outcomes["var"] += 1
+                    else:
+                        outcomes["const"] += 1
+    assert min(outcomes.values()) >= 40, outcomes
+
+
 # ---------------------------------------------------------------------------
 # decision conversions
 # ---------------------------------------------------------------------------
@@ -623,6 +705,29 @@ def test_peano_and_presburger_convs():
     # a predicate over the wrong type is not arithmetic at all
     pred3 = Abstraction(bv("p"), bv("p"))
     assert IS_PEANO_CONV(Quotation(pred3)).concl.fn.name == "~"
+
+
+def test_arithmetic_convs_read_the_predicate_closed():
+    # \m. m = n names a different predicate for every n, so a free n is
+    # not first-order arithmetic; an n bound inside the predicate is
+    for conv, name in ((IS_PEANO_CONV, "isPeano"), (IS_PRESBURGER_CONV, "isPresburger")):
+        opened = parse_term("Q_ \\m:num. m = n:num _Q")
+        assert conv(opened).concl == mk_neg(Application(
+            Constant(name, mk_fun(epsilon_ty(), bool_ty())), opened
+        ))
+        closed = parse_term("Q_ \\m:num. ?n:num. m = n _Q")
+        assert conv(closed).concl == parse_term(f"{name} {print_term(closed)}")
+
+
+def test_predicate_type_facts_are_named_axioms():
+    for name, pred in (("PEANO_PRED_TYPE", "isPeano"), ("PRESBURGER_PRED_TYPE", "isPresburger")):
+        th = theorem(name)
+        assert th is session.current().axioms[name]
+        assert th.axioms == {name} and not th.trusted
+        assert th.concl == parse_term(
+            f"!c:epsilon. {pred} c ==> "
+            'isExprType c (TyBiCons "fun" (TyBase "num") (TyBase "bool"))'
+        )
 
 
 def test_conv_provenance_tags_flow_through_rules():

@@ -31,7 +31,6 @@ from cqe.syntax import (
     _frees,
     alpha_equivalent,
     bool_ty,
-    dest_fun,
     epsilon_ty,
     free_variables,
     fresh_variant,
@@ -46,7 +45,7 @@ from cqe.syntax import (
     variables_in,
 )
 
-from genterms import TermGen
+from genterms import TermGen, dest_fun
 
 
 def tv(name="x", ty=None):
@@ -221,7 +220,7 @@ def test_hole_and_evaluation_content_must_be_epsilon():
 
 def test_quotation_body_type():
     q = Quotation(tv("p"))
-    assert q.ty == epsilon_ty() and q.body_type == bool_ty()
+    assert q.ty == epsilon_ty() and q.body.ty == bool_ty()
 
 
 # ---------------------------------------------------------------------------
