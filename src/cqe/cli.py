@@ -11,11 +11,12 @@ A script is a sequence of one-line commands::
     check step matches `T \\/ ~T`
     echo all done
 
-Proof expressions are s-expressions ``(RULE arg ...)`` whose arguments are
-backtick-quoted terms or types (which one is decided by the rule's
-signature), theorem names, or nested proof expressions.  ``INST`` and
-``INST_TYPE`` take alternating variable/replacement pairs before the final
-theorem.
+Proof expressions are s-expressions ``(RULE arg ...)``.  Every upper-case
+function of :mod:`cqe.kernel` and :mod:`cqe.logic` is a rule, and the
+annotation of each parameter gives its argument: a backtick-quoted term
+(``Term``), variable (``Variable``) or type (``HolType``), or a theorem name
+or nested proof expression (``Theorem``).  ``INST`` and ``INST_TYPE`` take
+alternating variable/replacement pairs before the final theorem.
 
 ``cqe check`` runs a script and fails on the first error, ``cqe repl`` is
 the same loop hooked to stdin, and ``cqe export`` runs a script and writes
@@ -55,58 +56,33 @@ from .syntax import TypeVariable, Variable, alpha_equivalent
 
 TERM, TYPE, VAR, THM = "term", "type", "variable", "theorem"
 
-# name -> (callable, argument kinds, minimum arity)
-RULE_SIGS = {
-    # kernel
-    "REFL": (kernel.REFL, [TERM], 1),
-    "TRANS": (kernel.TRANS, [THM, THM], 2),
-    "MK_COMB": (kernel.MK_COMB, [THM, THM], 2),
-    "ABS": (kernel.ABS, [VAR, THM], 2),
-    "BETA": (kernel.BETA, [TERM], 1),
-    "ASSUME": (kernel.ASSUME, [TERM], 1),
-    "EQ_MP": (kernel.EQ_MP, [THM, THM], 2),
-    "DEDUCT_ANTISYM": (kernel.DEDUCT_ANTISYM, [THM, THM], 2),
-    "LAW_OF_QUO": (kernel.LAW_OF_QUO, [TERM], 1),
-    "QUO_STEP": (kernel.QUO_STEP, [TERM], 1),
-    "DISQUO": (kernel.DISQUO, [TERM, TYPE], 1),
-    "APP_SPLIT": (kernel.APP_SPLIT, [TERM, TERM, TYPE, TYPE], 4),
-    "ABS_SPLIT": (kernel.ABS_SPLIT, [VAR, TERM, TYPE], 3),
-    "QUOTABLE": (kernel.QUOTABLE, [TERM], 1),
-    "BETA_REVAL": (kernel.BETA_REVAL, [VAR, TERM, TERM, TYPE], 4),
-    "NOT_FREE_OR_EFFECTIVE_IN": (kernel.NOT_FREE_OR_EFFECTIVE_IN, [VAR, TERM], 2),
-    "NEITHER_EFFECTIVE": (kernel.NEITHER_EFFECTIVE, [VAR, VAR, TERM, TERM], 4),
-    # derived
-    "VAR_DISQUO": (logic.VAR_DISQUO, [TERM], 1),
-    "CONST_DISQUO": (logic.CONST_DISQUO, [TERM], 1),
-    "BETA_EVAL": (logic.BETA_EVAL, [VAR, TERM, TYPE], 3),
-    "SYM": (logic.SYM, [THM], 1),
-    "AP_TERM": (logic.AP_TERM, [TERM, THM], 2),
-    "AP_THM": (logic.AP_THM, [THM, TERM], 2),
-    "BETA_CONV": (logic.BETA_CONV, [TERM], 1),
-    "PROVE_HYP": (logic.PROVE_HYP, [THM, THM], 2),
-    "EQT_INTRO": (logic.EQT_INTRO, [THM], 1),
-    "EQT_ELIM": (logic.EQT_ELIM, [THM], 1),
-    "SUBS": (logic.SUBS, [THM, THM], 2),
-    "MP": (logic.MP, [THM, THM], 2),
-    "CONJ": (logic.CONJ, [THM, THM], 2),
-    "CONJUNCT1": (logic.CONJUNCT1, [THM], 1),
-    "CONJUNCT2": (logic.CONJUNCT2, [THM], 1),
-    "DISCH": (logic.DISCH, [TERM, THM], 2),
-    "UNDISCH": (logic.UNDISCH, [THM], 1),
-    "SPEC": (logic.SPEC, [TERM, THM], 2),
-    "GEN": (logic.GEN, [VAR, THM], 2),
-    "DISJ1": (logic.DISJ1, [THM, TERM], 2),
-    "DISJ2": (logic.DISJ2, [TERM, THM], 2),
-    "DISJ_CASES": (logic.DISJ_CASES, [THM, THM, THM], 3),
-    "NOT_INTRO": (logic.NOT_INTRO, [THM], 1),
-    "NOT_ELIM": (logic.NOT_ELIM, [THM], 1),
-    # trusted decision conversions
-    "IS_EXPR_TYPE_CONV": (logic.IS_EXPR_TYPE_CONV, [TERM, TERM], 2),
-    "IS_FREE_IN_CONV": (logic.IS_FREE_IN_CONV, [TERM, TERM], 2),
-    "EVAL_CONV": (logic.EVAL_CONV, [TERM], 1),
-    "IS_PEANO_CONV": (logic.IS_PEANO_CONV, [TERM], 1),
-    "IS_PRESBURGER_CONV": (logic.IS_PRESBURGER_CONV, [TERM], 1),
-}
+# a rule parameter's annotation -> the kind of argument a script passes
+_KINDS = {"Term": TERM, "Variable": VAR, "Theorem": THM, "HolType": TYPE, "HolType | None": TYPE}
+
+
+def _rule_sigs(*modules) -> dict:
+    """name -> (callable, argument kinds, minimum arity) for every upper-case
+    function defined in ``modules``, read from its annotations and defaults.
+    ``INST`` and ``INST_TYPE`` take pairs, so ``_inst_call`` handles them."""
+    sigs = {}
+    for mod in modules:
+        for name, fn in vars(mod).items():
+            if not (
+                name.isupper() and callable(fn) and name not in ("INST", "INST_TYPE")
+                and getattr(fn, "__module__", None) == mod.__name__
+            ):
+                continue
+            code = fn.__code__
+            params = code.co_varnames[: code.co_argcount]
+            kinds = [_KINDS.get(fn.__annotations__.get(p)) for p in params]
+            if None in kinds:
+                p = params[kinds.index(None)]
+                raise TypeError(f"{name}: parameter {p!r} has no script argument kind")
+            sigs[name] = (fn, kinds, len(params) - len(fn.__defaults__ or ()))
+    return sigs
+
+
+RULE_SIGS = _rule_sigs(kernel, logic)
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +279,10 @@ def _want_color(stream) -> bool:
 class Runner:
     """Executes script commands against the current session."""
 
-    def __init__(self, trace=False, quiet=False, out=None, color=None):
+    def __init__(self, trace=False, quiet=False):
         self.trace = trace
         self.quiet = quiet
-        self.out = out if out is not None else sys.stdout
-        self.color = _want_color(self.out) if color is None else color
+        self.color = _want_color(sys.stdout)
         self.defined = {}  # theorem name -> line of its thm command, in order
         self.steps = 0
         self.checks = 0
@@ -316,7 +291,7 @@ class Runner:
         return f"\x1b[{code}m{s}\x1b[0m" if self.color else s
 
     def emit(self, s):
-        print(s, file=self.out)
+        print(s)
 
     def run_text(self, text: str):
         for lineno, raw in enumerate(text.splitlines(), start=1):

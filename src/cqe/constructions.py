@@ -51,41 +51,34 @@ from .syntax import (
     variables_in,
 )
 
-# constructor name -> argument kinds; ARG_TYPES gives each kind's type
-EPSILON_SIG = (
-    ("QuoVar", ("str", "type")),
-    ("QuoConst", ("str", "type")),
-    ("App", ("epsilon", "epsilon")),
-    ("Abs", ("epsilon", "epsilon")),
-    ("Quo", ("epsilon",)),
-)
-
-# TYPE_SIG[1 + n] encodes a type constructor of arity n
-TYPE_SIG = (
-    ("TyVar", ("str",)),
-    ("TyBase", ("str",)),
-    ("TyMonoCons", ("str", "type")),
-    ("TyBiCons", ("str", "type", "type")),
-)
+# constructor name -> (the node class whose parts its arguments encode, or
+# None for a constructor of type ``type``; its argument kinds).  ARG_TYPES
+# gives each kind's type.
+CONSTRUCTORS = {
+    "QuoVar": (Variable, ("str", "type")),
+    "QuoConst": (Constant, ("str", "type")),
+    "App": (Application, ("epsilon", "epsilon")),
+    "Abs": (Abstraction, ("epsilon", "epsilon")),
+    "Quo": (Quotation, ("epsilon",)),
+    "TyVar": (None, ("str",)),
+    "TyBase": (None, ("str",)),
+    "TyMonoCons": (None, ("str", "type")),
+    "TyBiCons": (None, ("str", "type", "type")),
+}
 
 ARG_TYPES = {"str": str_ty, "type": type_ty, "epsilon": epsilon_ty}
 
-# node class -> the epsilon constructor whose arguments encode its parts
-NODE_CONSTRUCTOR = {
-    Variable: "QuoVar",
-    Constant: "QuoConst",
-    Application: "App",
-    Abstraction: "Abs",
-    Quotation: "Quo",
-}
-_NODE_OF = {name: cls for cls, name in NODE_CONSTRUCTOR.items()}
-_TYPE_PARAMS = dict(TYPE_SIG)
-_PARAMS = dict(EPSILON_SIG + TYPE_SIG)
+NODE_CONSTRUCTOR = {cls: name for name, (cls, _) in CONSTRUCTORS.items() if cls}
+# _TYPE_CONS[n] encodes a type constructor of arity n
+_TYPE_CONS = [
+    name for name, (cls, _) in CONSTRUCTORS.items() if cls is None and name != "TyVar"
+]
 
 
 def _sig_type(name: str) -> HolType:
-    ty = epsilon_ty() if name in _NODE_OF else type_ty()
-    for kind in reversed(_PARAMS[name]):
+    cls, kinds = CONSTRUCTORS[name]
+    ty = type_ty() if cls is None else epsilon_ty()
+    for kind in reversed(kinds):
         ty = mk_fun(ARG_TYPES[kind](), ty)
     return ty
 
@@ -95,7 +88,7 @@ def install(s) -> None:
     if "str" in s.type_arities:
         raise DuplicateName("type constructor already registered: 'str'")
     s.type_arities["str"] = 0
-    for name in _PARAMS:
+    for name in CONSTRUCTORS:
         if name in s.constants:
             raise DuplicateName(f"constant already registered: {name!r}")
         s.constants[name] = _sig_type(name)
@@ -109,7 +102,7 @@ _SIGS: dict = {}  # constructor name -> its signature type, built on first use
 def constructor_constant(name: str) -> Constant:
     sig = _SIGS.get(name)
     if sig is None:
-        if name not in _PARAMS:
+        if name not in CONSTRUCTORS:
             raise NotAConstruction(f"not a constructor constant: {name!r}")
         sig = _SIGS[name] = _sig_type(name)
     return Constant(name, sig)
@@ -167,7 +160,7 @@ def _encode_type(ty: HolType, types: dict) -> Term:
         args = [name_literal(ty.constructor)]
         for a in ty.arguments:
             args.append(_encode_type(a, types))
-        c = apply_terms(constructor_constant(TYPE_SIG[1 + n][0]), args)
+        c = apply_terms(constructor_constant(_TYPE_CONS[n]), args)
     types[ty] = c
     return c
 
@@ -250,7 +243,8 @@ def type_from_construction(c: Term) -> HolType:
     """The type that c denotes; accepts and refuses as construction_to_term."""
     head, args = _whnf(c)
     con = head.name if isinstance(head, Constant) else None
-    if con not in _TYPE_PARAMS or len(args) != len(_TYPE_PARAMS[con]):
+    entry = CONSTRUCTORS.get(con)
+    if entry is None or entry[0] is not None or len(args) != len(entry[1]):
         raise NotAConstruction(f"not a type construction: {c!r}")
     name = dest_name_literal(_whnf(args[0])[0])
     if con == "TyVar":
@@ -279,17 +273,18 @@ def construction_to_term(c: Term) -> Term:
     if isinstance(head, Quotation):
         return _read_quoted(head.body)
     con = head.name if isinstance(head, Constant) else None
-    if con not in _NODE_OF or len(args) != len(_PARAMS[con]):
+    cls, kinds = CONSTRUCTORS.get(con, (None, ()))
+    if cls is None or len(args) != len(kinds):
         raise NotAConstruction(f"not a construction: {c!r}")
     parts = []
-    for kind, a in zip(_PARAMS[con], args):
+    for kind, a in zip(kinds, args):
         if kind == "str":
             parts.append(dest_name_literal(_whnf(a)[0]))
         elif kind == "type":
             parts.append(type_from_construction(a))
         else:
             parts.append(construction_to_term(a))
-    return _formed(_NODE_OF[con], *parts)
+    return _formed(cls, *parts)
 
 
 def _read_quoted(t: Term) -> Term:

@@ -93,7 +93,7 @@ __all__ = [
     "new_axiom", "new_basic_definition",
     "vsubst", "inst_type",
     "mk_eq", "dest_eq", "mk_conj", "dest_conj", "mk_disj", "dest_disj",
-    "mk_imp", "dest_imp", "mk_neg", "dest_neg", "mk_forall", "dest_forall",
+    "mk_imp", "dest_imp", "mk_neg", "dest_neg", "mk_forall",
     "mk_exists", "dest_exists", "mk_not_effective", "dest_not_effective",
     "mk_is_expr_type", "mk_is_free_in",
 ]
@@ -250,23 +250,15 @@ def mk_exists(v, body):
     return _mk_binder("?", v, body)
 
 
-def _dest_binder(name: str, t: Term):
+def dest_exists(t):
     if (
         isinstance(t, Application)
         and isinstance(t.fn, Constant)
-        and t.fn.name == name
+        and t.fn.name == "?"
         and isinstance(t.arg, Abstraction)
     ):
         return t.arg.var, t.arg.body
-    raise WrongShape(f"expected a {name!r} binder applied to an abstraction")
-
-
-def dest_forall(t):
-    return _dest_binder("!", t)
-
-
-def dest_exists(t):
-    return _dest_binder("?", t)
+    raise WrongShape("expected a '?' binder applied to an abstraction")
 
 
 def mk_is_expr_type(c: Term, ty: HolType) -> Term:
@@ -522,7 +514,7 @@ def _inst_type(t: Term, env: dict) -> Term:
         # silently produce a different literal, refuse.
         touched = type_variables_in_term(t) & set(env)
         if touched:
-            names = ", ".join(sorted("'" + tv.name for tv in touched))
+            names = ", ".join(sorted(map(repr, touched)))
             raise QuotationTypePolymorphism(
                 f"type instantiation of {names} would alter a quotation"
             )

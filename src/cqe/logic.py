@@ -29,8 +29,7 @@ from itertools import combinations
 from . import session
 from .constructions import (
     ARG_TYPES,
-    EPSILON_SIG,
-    TYPE_SIG,
+    CONSTRUCTORS,
     apply_terms,
     construction_to_term,
     constructor_constant,
@@ -577,16 +576,17 @@ def _induction(cons, carrier: str) -> Term:
 
 
 def install_datatype_facts(s) -> None:
-    facts = {
-        "epsilon_distinct": _distinctness(EPSILON_SIG),
-        "epsilon_injective": _injectivity(EPSILON_SIG),
-        "epsilon_induction": _induction(EPSILON_SIG, "epsilon"),
-        "type_distinct": _distinctness(TYPE_SIG),
-        "type_injective": _injectivity(TYPE_SIG),
-        "type_induction": _induction(TYPE_SIG, "type"),
-    }
-    for name, stmt in facts.items():
-        s.theorems[name] = new_axiom(name, stmt)
+    rows = {"epsilon": [], "type": []}
+    for name, (cls, kinds) in CONSTRUCTORS.items():
+        rows["type" if cls is None else "epsilon"].append((name, kinds))
+    for carrier, cons in rows.items():
+        for fact, stmt in (
+            ("distinct", _distinctness(cons)),
+            ("injective", _injectivity(cons)),
+            ("induction", _induction(cons, carrier)),
+        ):
+            name = f"{carrier}_{fact}"
+            s.theorems[name] = new_axiom(name, stmt)
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,8 @@ class TypeVariable(HolType):
         return (TypeVariable, (self.name,))
 
     def __repr__(self):
-        return f"'{self.name}"
+        # the parser keeps the quote in the name; a name made in code may lack it
+        return self.name if self.name.startswith("'") else "'" + self.name
 
 
 class TypeApplication(HolType):

@@ -2,11 +2,12 @@
 
 import io
 import os
+import types
 
 import pytest
 
-from cqe import session
-from cqe.cli import RULE_SIGS, Runner, main
+from cqe import kernel, logic, session
+from cqe.cli import RULE_SIGS, Runner, _rule_sigs, main
 from cqe.errors import ScriptError
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "src", "cqe", "scripts")
@@ -252,6 +253,104 @@ def test_rule_table_covers_kernel_and_derived_rules():
         assert name in RULE_SIGS
     # the pair-list instantiators are dispatched separately
     assert "INST" not in RULE_SIGS and "INST_TYPE" not in RULE_SIGS
+
+
+TERM, TYPE, VAR, THM = "term", "type", "variable", "theorem"
+
+# The script-rule table as written by hand before the checker read it off the
+# rules' annotations: name -> (callable, argument kinds, minimum arity).
+REFERENCE_RULE_SIGS = {
+    # kernel
+    "REFL": (kernel.REFL, [TERM], 1),
+    "TRANS": (kernel.TRANS, [THM, THM], 2),
+    "MK_COMB": (kernel.MK_COMB, [THM, THM], 2),
+    "ABS": (kernel.ABS, [VAR, THM], 2),
+    "BETA": (kernel.BETA, [TERM], 1),
+    "ASSUME": (kernel.ASSUME, [TERM], 1),
+    "EQ_MP": (kernel.EQ_MP, [THM, THM], 2),
+    "DEDUCT_ANTISYM": (kernel.DEDUCT_ANTISYM, [THM, THM], 2),
+    "LAW_OF_QUO": (kernel.LAW_OF_QUO, [TERM], 1),
+    "QUO_STEP": (kernel.QUO_STEP, [TERM], 1),
+    "DISQUO": (kernel.DISQUO, [TERM, TYPE], 1),
+    "APP_SPLIT": (kernel.APP_SPLIT, [TERM, TERM, TYPE, TYPE], 4),
+    "ABS_SPLIT": (kernel.ABS_SPLIT, [VAR, TERM, TYPE], 3),
+    "QUOTABLE": (kernel.QUOTABLE, [TERM], 1),
+    "BETA_REVAL": (kernel.BETA_REVAL, [VAR, TERM, TERM, TYPE], 4),
+    "NOT_FREE_OR_EFFECTIVE_IN": (kernel.NOT_FREE_OR_EFFECTIVE_IN, [VAR, TERM], 2),
+    "NEITHER_EFFECTIVE": (kernel.NEITHER_EFFECTIVE, [VAR, VAR, TERM, TERM], 4),
+    # derived
+    "VAR_DISQUO": (logic.VAR_DISQUO, [TERM], 1),
+    "CONST_DISQUO": (logic.CONST_DISQUO, [TERM], 1),
+    "BETA_EVAL": (logic.BETA_EVAL, [VAR, TERM, TYPE], 3),
+    "SYM": (logic.SYM, [THM], 1),
+    "AP_TERM": (logic.AP_TERM, [TERM, THM], 2),
+    "AP_THM": (logic.AP_THM, [THM, TERM], 2),
+    "BETA_CONV": (logic.BETA_CONV, [TERM], 1),
+    "PROVE_HYP": (logic.PROVE_HYP, [THM, THM], 2),
+    "EQT_INTRO": (logic.EQT_INTRO, [THM], 1),
+    "EQT_ELIM": (logic.EQT_ELIM, [THM], 1),
+    "SUBS": (logic.SUBS, [THM, THM], 2),
+    "MP": (logic.MP, [THM, THM], 2),
+    "CONJ": (logic.CONJ, [THM, THM], 2),
+    "CONJUNCT1": (logic.CONJUNCT1, [THM], 1),
+    "CONJUNCT2": (logic.CONJUNCT2, [THM], 1),
+    "DISCH": (logic.DISCH, [TERM, THM], 2),
+    "UNDISCH": (logic.UNDISCH, [THM], 1),
+    "SPEC": (logic.SPEC, [TERM, THM], 2),
+    "GEN": (logic.GEN, [VAR, THM], 2),
+    "DISJ1": (logic.DISJ1, [THM, TERM], 2),
+    "DISJ2": (logic.DISJ2, [TERM, THM], 2),
+    "DISJ_CASES": (logic.DISJ_CASES, [THM, THM, THM], 3),
+    "NOT_INTRO": (logic.NOT_INTRO, [THM], 1),
+    "NOT_ELIM": (logic.NOT_ELIM, [THM], 1),
+    # trusted decision conversions
+    "IS_EXPR_TYPE_CONV": (logic.IS_EXPR_TYPE_CONV, [TERM, TERM], 2),
+    "IS_FREE_IN_CONV": (logic.IS_FREE_IN_CONV, [TERM, TERM], 2),
+    "EVAL_CONV": (logic.EVAL_CONV, [TERM], 1),
+    "IS_PEANO_CONV": (logic.IS_PEANO_CONV, [TERM], 1),
+    "IS_PRESBURGER_CONV": (logic.IS_PRESBURGER_CONV, [TERM], 1),
+}
+
+
+def test_derived_rule_table_matches_the_reference():
+    assert RULE_SIGS.keys() == REFERENCE_RULE_SIGS.keys()
+    for name, (fn, kinds, least) in REFERENCE_RULE_SIGS.items():
+        got_fn, got_kinds, got_least = RULE_SIGS[name]
+        assert got_fn is fn, name
+        assert (list(got_kinds), got_least) == (kinds, least), name
+
+
+def test_a_rule_parameter_without_a_script_kind_is_refused():
+    def BAD(th: "Theorem", n: "int") -> "Theorem":
+        return th
+
+    def BARE(th) -> "Theorem":
+        return th
+
+    for fn in (BAD, BARE):
+        mod = types.ModuleType("rules")
+        fn.__module__ = mod.__name__
+        setattr(mod, fn.__name__, fn)
+        with pytest.raises(TypeError, match=fn.__name__):
+            _rule_sigs(mod)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("axiom a := `!x:'A. x = x`\nthm b := (SPEC `T` a)\n",
+         "operand type bool does not match operator domain 'A\n"),
+        ("thm r := (REFL `Q_ x:'A _Q`)\nthm b := (INST_TYPE `'A` `bool` r)\n",
+         "type instantiation of 'A would alter a quotation\n"),
+    ],
+    ids=["spec", "inst-type"],
+)
+def test_errors_print_a_parsed_type_variable_with_one_quote(
+    tmp_path, capsys, text, message
+):
+    assert main(["check", write(tmp_path, text)]) == 1
+    err = capsys.readouterr().err
+    assert err.endswith(message) and "''A" not in err
 
 
 def test_type_argument_coercion(tmp_path):

@@ -1,11 +1,13 @@
 """The kernel: substitution discipline, type instantiation, inference rules."""
 
 import gc
+import re
 import weakref
+from pathlib import Path
 
 import pytest
 
-from cqe import session
+from cqe import kernel, session
 from cqe.constructions import constructor_constant, term_to_construction
 from cqe.errors import (
     ContainsHole,
@@ -78,6 +80,7 @@ from cqe.syntax import (
     num_ty,
 )
 
+from cqe.frontend import parse_type
 from cqe.logic import BETA_EVAL, CONST_DISQUO, SYM, VAR_DISQUO
 
 from genterms import TermGen
@@ -334,6 +337,13 @@ def test_dest_not_effective_round_trip():
 # ---------------------------------------------------------------------------
 # type instantiation
 # ---------------------------------------------------------------------------
+
+
+def test_a_type_variable_prints_with_one_quote():
+    # names made in code lack the quote; names the parser makes keep it
+    assert repr(TypeVariable("A")) == "'A"
+    assert repr(TypeVariable("'A")) == "'A"
+    assert repr(parse_type("'A")) == "'A"
 
 
 def test_inst_type_basic():
@@ -776,3 +786,26 @@ def _beta_redex(gen):
     ty = gen.type(1)
     x = gen.var(ty)
     return Application(Abstraction(x, gen.eval_free(bool_ty(), 2)), x)
+
+
+# ---------------------------------------------------------------------------
+# the documented rule list
+# ---------------------------------------------------------------------------
+
+
+def _rule_names(text):
+    return set(re.findall(r"`([A-Z][A-Z0-9_]*)`", text))
+
+
+def test_the_documented_primitive_rules_are_the_kernel_rules():
+    rules = {
+        name for name, v in vars(kernel).items()
+        if name.isupper() and callable(v) and v.__module__ == kernel.__name__
+    }
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    row = next(
+        line for line in readme.read_text(encoding="utf-8").splitlines()
+        if line.startswith("| `cqe.kernel` |")
+    )
+    assert _rule_names(kernel.__doc__) == rules
+    assert _rule_names(row) == rules

@@ -782,6 +782,27 @@ def test_arithmetic_convs_refuse_an_uninterpreted_constant(conv):
         conv(parse_term("k"))
 
 
+# A hole whose content is an uninterpreted constant has no value to read, so
+# every conversion must refuse it: reading the hole as an improper tree would
+# decide ~isExprType Q_ H_ k _H:bool _Q (TyBase "bool"), which is false when
+# k = Q_ T _Q.
+@pytest.mark.parametrize(
+    "conv, args",
+    [
+        (IS_EXPR_TYPE_CONV, ("Q_ H_ k _H:bool _Q", 'TyBase "bool"')),
+        (IS_FREE_IN_CONV, ("Q_ x:bool _Q", "Q_ x:bool /\\ H_ k _H:bool _Q")),
+        (EVAL_CONV, ("eval Q_ H_ k _H:bool _Q to bool",)),
+        (IS_PEANO_CONV, ("Q_ \\n:num. H_ k _H:bool _Q",)),
+        (IS_PRESBURGER_CONV, ("Q_ \\n:num. H_ k _H:bool _Q",)),
+    ],
+    ids=["is-expr-type", "is-free-in", "eval", "peano", "presburger"],
+)
+def test_convs_refuse_an_uninterpreted_constant_in_a_hole(conv, args):
+    new_constant("k", epsilon_ty())
+    with pytest.raises(NotAConstruction):
+        conv(*map(parse_term, args))
+
+
 def test_is_free_in_conv_refuses_an_unknown_constant_until_it_is_declared():
     x = parse_term("Q_ x:bool _Q")
     gx = parse_term(
