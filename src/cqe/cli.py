@@ -261,9 +261,9 @@ def _strip_comment(line: str) -> str:
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_']*"
 _CMD_RES = {
-    "constant": re.compile(r"constant\s+(\S+)\s*:\s*(.+?)\s*$"),
+    "constant": re.compile(rf"constant\s+({_NAME})\s*:\s*([^:]+?)\s*$"),
     "axiom": re.compile(rf"axiom\s+({_NAME})\s*:=\s*`([^`]*)`\s*$"),
-    "define": re.compile(rf"define\s+(\S+)\s*:=\s*`([^`]*)`\s*$"),
+    "define": re.compile(rf"define\s+({_NAME})\s*:=\s*`([^`]*)`\s*$"),
     "register_nei": re.compile(rf"register_nei\s+({_NAME})\s*$"),
     "thm": re.compile(rf"thm\s+({_NAME})\s*:=\s*(\(.*\))\s*$"),
     "check": re.compile(rf"check\s+({_NAME})\s+matches\s+`([^`]*)`\s*$"),

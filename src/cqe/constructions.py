@@ -289,7 +289,9 @@ def construction_to_term(c: Term) -> Term:
 
 def _read_quoted(t: Term) -> Term:
     # Agrees with reading ``expand_quasiquote`` of the quotation, without
-    # encoding and decoding the syntax around the holes.
+    # encoding and decoding the syntax around the holes.  Not ``map_holes``:
+    # each node is formed through ``_formed`` between the hole reads, so an
+    # improper node is a verdict and an unreadable hole stays a refusal.
     if not t.has_hole:
         return t
     if isinstance(t, Hole):

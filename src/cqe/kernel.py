@@ -73,6 +73,7 @@ from .syntax import (
     bool_ty,
     epsilon_ty,
     fresh_variant,
+    map_holes,
     map_parts,
     mk_fun,
     subst_type,
@@ -313,6 +314,8 @@ def vsubst(pairs, t: Term, used=None) -> Term:
     syntax alone cannot justify a step; theorems consulted along the way are
     appended to ``used`` so callers can track what the result depends on.
     """
+    if not isinstance(t, Term):
+        raise KernelError(f"not a term: {t!r}")
     theta = {}
     for x, tm in dict(pairs).items() if isinstance(pairs, dict) else pairs:
         if not isinstance(x, Variable):
@@ -340,13 +343,10 @@ def vsubst(pairs, t: Term, used=None) -> Term:
 def _vsubst(t: Term, theta: dict, registry, used) -> Term:
     if isinstance(t, Variable):
         return theta.get(t, t)
-    if isinstance(t, Constant):
-        return t
-    # An eval-free subterm whose free-variable set, once known, misses every
-    # substituted variable is unchanged.  A term with an evaluation is not:
-    # substitution still suspends there or asks the registry.
-    fv = getattr(t, "_fv", None)
-    if fv is not None and t.eval_free and theta.keys().isdisjoint(fv):
+    # An eval-free term whose free-variable set misses every substituted
+    # variable is unchanged.  A term with an evaluation is not: substitution
+    # still suspends there or asks the registry.
+    if t.eval_free and theta.keys().isdisjoint(t._fv):
         return t
     if isinstance(t, Application):
         fn = _vsubst(t.fn, theta, registry, used)
@@ -355,26 +355,15 @@ def _vsubst(t: Term, theta: dict, registry, used) -> Term:
     if isinstance(t, Abstraction):
         return _vsubst_abs(t, theta, registry, used)
     if isinstance(t, Quotation):
-        # Quoted syntax is a fixed value; only hole contents are live.
-        if not t.has_hole:
-            return t
-        body = _vsubst_quoted(t.body, theta, registry, used)
+        # Quoted syntax is a fixed value and its binders bind nothing in the
+        # live hole contents, so substitution reaches only the holes and
+        # capture is impossible.
+        body = map_holes(t.body, _vsubst, theta, registry, used)
         return t if body is t.body else Quotation(body)
     if isinstance(t, Hole):
         c = _vsubst(t.content, theta, registry, used)
         return t if c is t.content else Hole(c, t.slot_type)
-    if isinstance(t, Evaluation):
-        return _vsubst_eval(t, theta, registry, used)
-    raise KernelError(f"not a term: {t!r}")
-
-
-def _vsubst_quoted(b: Term, theta: dict, registry, used) -> Term:
-    # Binders inside a quotation are part of the quoted syntax; they bind
-    # nothing in the live hole contents, so the substitution passes through
-    # them untouched and capture is impossible.
-    if isinstance(b, Hole):
-        return _vsubst(b, theta, registry, used)
-    return map_parts(b, _vsubst_quoted, None, theta, registry, used)
+    return _vsubst_eval(t, theta, registry, used)  # an Evaluation
 
 
 def _vsubst_abs(t: Abstraction, theta: dict, registry, used) -> Term:

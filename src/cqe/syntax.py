@@ -27,25 +27,25 @@ calculus:
 * ``Evaluation`` maps a syntax value back to the value of the term it
   represents, at a stated result type.
 
-Eval-freeness, hole bookkeeping and the term's type are computed once at
-construction and cached on the node.
+Eval-freeness, hole bookkeeping, the free-variable set and the term's type
+are computed once at construction and cached on the node.  The free set
+(``_fv``) comes from the parts' sets, reusing a part's set whenever the
+node's is no larger, so a deep term holds few distinct sets and ``_frees``
+only reads it.
 
 Walkers reach a node's parts through ``_parts``, via ``subterms`` and
-``map_parts``, rather than dispatching on its kind.  Only the hot walkers
-``_frees``, ``_alpha`` and the kernel's ``_vsubst`` keep hand-written
-dispatch, and the first two avoid re-walking structure they have seen:
-
-* ``_frees`` keeps each compound node's free-variable set on the node
-  (``_fv``, filled on first use), so substitution under n binders no longer
-  recomputes the body's set at every binder.
-* ``_alpha`` threads the invariant "``env_s is env_t`` exactly while every
-  binder pair so far was the same variable" (the root's ``()`` qualifies).
-  Under it, ``s is t`` proves alpha-equivalence at once; with interned
-  terms it fires on every shared subterm.
+``map_parts``, rather than dispatching on its kind.  Inside a quotation only
+hole contents are live; ``holes`` and ``map_holes`` state that rule once, for
+the free set, ``_alpha`` and the kernel's ``_vsubst``.  ``_alpha`` threads the
+invariant "``env_s is env_t`` exactly while every binder pair so far was the
+same variable" (the root's ``()`` qualifies).  Under it, ``s is t`` proves
+alpha-equivalence at once; with interned terms it fires on every shared
+subterm.
 """
 
 from __future__ import annotations
 
+import re
 import weakref
 
 from . import session
@@ -78,16 +78,18 @@ class HolType:
 # TypeApplication's is (constructor, arguments) (a tuple), so the two kinds
 # never share a key.  Entries are never removed: a process sees few types.
 _TYPES: dict = {}
+_TYVAR_NAME = re.compile(r"'[A-Za-z_][A-Za-z0-9_]*")
 
 
 class TypeVariable(HolType):
     __slots__ = ("name", "_hash")
 
     def __new__(cls, name):
-        if not isinstance(name, str) or not name:
-            raise IllTyped("type variable name must be a non-empty string")
-        ty = _TYPES.get(name)
+        ty = _TYPES.get(name) if type(name) is str else None
         if ty is None:
+            # the name must print as the lexer's type-variable token reads it
+            if not isinstance(name, str) or not _TYVAR_NAME.fullmatch(name):
+                raise IllTyped(f"not a type variable name (' and an identifier): {name!r}")
             ty = object.__new__(cls)
             object.__setattr__(ty, "name", name)
             object.__setattr__(ty, "_hash", hash(name))
@@ -98,8 +100,7 @@ class TypeVariable(HolType):
         return (TypeVariable, (self.name,))
 
     def __repr__(self):
-        # the parser keeps the quote in the name; a name made in code may lack it
-        return self.name if self.name.startswith("'") else "'" + self.name
+        return self.name
 
 
 class TypeApplication(HolType):
@@ -247,8 +248,9 @@ class Term:
     #   ef_outside_holes -- no Evaluation outside hole contents
     #   has_hole         -- some Hole occurs anywhere
     #   has_naked_hole   -- some Hole occurs outside any Quotation
-    # and one set by _frees on first use, on every node but a leaf:
-    #   _fv              -- the syntactic free-variable set
+    #   _fv              -- the syntactic free-variable set; None on a
+    #                       Variable, whose set would hold the Variable
+    #                       itself, a cycle only the garbage collector frees
 
     def __new__(cls, *parts):
         key = (cls, parts)
@@ -283,13 +285,14 @@ class Term:
         except Exception:
             return f"<{type(self).__name__}>"
 
-    def _seal(self, ty, eval_free, ef_outside_holes, has_hole, has_naked_hole):
+    def _seal(self, ty, eval_free, ef_outside_holes, has_hole, has_naked_hole, fv):
         d = self.__dict__
         d["ty"] = ty
         d["eval_free"] = eval_free
         d["ef_outside_holes"] = ef_outside_holes
         d["has_hole"] = has_hole
         d["has_naked_hole"] = has_naked_hole
+        d["_fv"] = fv
 
 
 def _is_name_literal(name: str) -> bool:
@@ -304,7 +307,7 @@ class Variable(Term):
             raise IllTyped("variable name must be a non-empty string")
         if not isinstance(self.ty, HolType):
             raise IllTyped("variable type must be a HolType")
-        self._seal(self.ty, True, True, False, False)
+        self._seal(self.ty, True, True, False, False, None)
 
 
 class Constant(Term):
@@ -314,7 +317,7 @@ class Constant(Term):
         if not isinstance(self.name, str) or not self.name:
             raise IllTyped("constant name must be a non-empty string")
         self._check_in_session()
-        self._seal(self.ty, True, True, False, False)
+        self._seal(self.ty, True, True, False, False, _NO_FREES)
 
     def _check_in_session(self):
         # runs on every formation, table hit or miss
@@ -355,6 +358,7 @@ class Application(Term):
             self.fn.ef_outside_holes and self.arg.ef_outside_holes,
             self.fn.has_hole or self.arg.has_hole,
             self.fn.has_naked_hole or self.arg.has_naked_hole,
+            _union(_frees(self.fn), _frees(self.arg)),
         )
 
 
@@ -364,12 +368,16 @@ class Abstraction(Term):
     def __post_init__(self):
         if not isinstance(self.var, Variable):
             raise NotAVariable("abstraction binder must be a Variable")
+        fv = _frees(self.body)
+        if self.var in fv:
+            fv = fv - frozenset((self.var,))
         self._seal(
             mk_fun(self.var.ty, self.body.ty),
             self.body.eval_free,
             self.body.ef_outside_holes,
             self.body.has_hole,
             self.body.has_naked_hole,
+            fv,
         )
 
 
@@ -381,33 +389,37 @@ class Quotation(Term):
             raise NotEvalFree(
                 "cannot quote a term containing an evaluation outside holes"
             )
-        self._seal(epsilon_ty(), self.body.eval_free, True, self.body.has_hole, False)
+        # quoted binders bind nothing in hole contents: nothing is subtracted
+        fv = _NO_FREES
+        for h in holes(self.body):
+            fv = _union(fv, _frees(h))
+        self._seal(epsilon_ty(), self.body.eval_free, True, self.body.has_hole, False, fv)
 
 
 class Hole(Term):
     _fields = ("content", "slot_type")
 
     def __post_init__(self):
-        if self.content.ty != epsilon_ty():
+        c = self.content
+        if c.ty != epsilon_ty():
             raise IllTyped("hole content must have type epsilon")
-        if self.content.has_naked_hole:
+        if c.has_naked_hole:
             raise HoleOutsideQuotation("hole content contains a hole of its own")
-        self._seal(
-            self.slot_type, self.content.eval_free, True, True, True
-        )
+        self._seal(self.slot_type, c.eval_free, True, True, True, _frees(c))
 
 
 class Evaluation(Term):
     _fields = ("content", "result_type")
 
     def __post_init__(self):
-        if self.content.ty != epsilon_ty():
+        c = self.content
+        if c.ty != epsilon_ty():
             raise IllTyped("evaluation content must have type epsilon")
-        if self.content.has_naked_hole:
+        if c.has_naked_hole:
             raise HoleOutsideQuotation(
                 "evaluation content contains a hole outside any quotation"
             )
-        self._seal(self.result_type, False, False, self.content.has_hole, False)
+        self._seal(self.result_type, False, False, c.has_hole, False, _frees(c))
 
 
 def subterms(t: Term) -> list:
@@ -440,27 +452,49 @@ def map_parts(t: Term, on_term, on_type, *args) -> Term:
     return type(t)(*parts) if changed else t
 
 
+def holes(body: Term) -> list:
+    """The Hole nodes of a quotation body outside hole contents, in field order.
+
+    These are the body's only live parts: quoted binders bind nothing in
+    them, and the holes of a nested quotation are live as well (the value of
+    the outer quotation still varies with their contents).
+    """
+    out = []
+    stack = [body]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Hole):
+            out.append(t)
+        elif t.has_hole:
+            stack.extend(reversed(subterms(t)))
+    return out
+
+
+def map_holes(body: Term, fn, *args) -> Term:
+    """Rebuild a quotation body with each of its ``holes`` h replaced, in
+    order, by ``fn(h, *args)``; the body itself when nothing changes."""
+    if isinstance(body, Hole):
+        return fn(body, *args)
+    if not body.has_hole:
+        return body
+    return map_parts(body, map_holes, None, fn, *args)
+
+
 # ---------------------------------------------------------------------------
 # free variables
 # ---------------------------------------------------------------------------
 
 
-def _quoted_live_frees(body: Term) -> frozenset:
-    """Free variables reachable through holes inside a quotation body.
-
-    Quoted binders are syntax, not binding structure, so nothing here is
-    subtracted; nested quotations keep their holes live as well (the value of
-    the outer quotation still varies with those contents).
-    """
-    if isinstance(body, Hole):
-        return _frees(body.content)
-    out = frozenset()
-    for s in subterms(body):
-        out |= _quoted_live_frees(s)
-    return out
-
-
 _NO_FREES = frozenset()
+
+
+def _union(a: frozenset, b: frozenset) -> frozenset:
+    # a part's own set when it already holds the other's
+    if b <= a:
+        return a
+    if a <= b:
+        return b
+    return a | b
 
 
 def _frees(t: Term) -> frozenset:
@@ -469,42 +503,9 @@ def _frees(t: Term) -> frozenset:
     For an Evaluation node this is the free variables of the content term;
     note that for non-eval-free terms syntactic freeness understates semantic
     dependence, which is why the kernel's substitution has its own guards.
-
-    Above the leaves the set is computed on the first call and kept on the
-    node as ``_fv`` (terms are immutable).  A node reuses a part's set
-    whenever its own set is no larger, so a deep term holds few distinct
-    sets.  A Variable's set is rebuilt instead: kept on the Variable it
-    would hold the Variable, a reference cycle only the garbage collector
-    frees.
     """
-    fv = t.__dict__.get("_fv")
-    if fv is not None:
-        return fv
-    if isinstance(t, Variable):
-        return frozenset((t,))
-    if isinstance(t, Constant):
-        return _NO_FREES
-    if isinstance(t, Application):
-        a = _frees(t.fn)
-        b = _frees(t.arg)
-        if b <= a:
-            fv = a
-        elif a <= b:
-            fv = b
-        else:
-            fv = a | b
-    elif isinstance(t, Abstraction):
-        fv = _frees(t.body)
-        if t.var in fv:
-            fv = fv - frozenset((t.var,))
-    elif isinstance(t, Quotation):
-        fv = _quoted_live_frees(t.body) if t.has_hole else _NO_FREES
-    elif isinstance(t, (Hole, Evaluation)):
-        fv = _frees(t.content)
-    else:
-        raise TypeError(f"not a term: {t!r}")
-    object.__setattr__(t, "_fv", fv)
-    return fv
+    fv = t._fv
+    return frozenset((t,)) if fv is None else fv
 
 
 def free_variables(t: Term) -> frozenset:
@@ -597,7 +598,16 @@ def _alpha(s: Term, t: Term, env_s: tuple, env_t: tuple) -> bool:
             return _alpha(s.body, t.body, env, env)
         return _alpha(s.body, t.body, env_s + (s.var,), env_t + (t.var,))
     if isinstance(s, Quotation):
-        return _alpha_quoted(s.body, t.body, env_s, env_t)
+        # Quoted syntax is compared verbatim, hole contents in the enclosing
+        # environment: the holes pairwise, then the bodies with s's holes
+        # replaced by t's, in order.
+        hs, ht = holes(s.body), holes(t.body)
+        if len(hs) != len(ht) or not all(
+            _alpha(a, b, env_s, env_t) for a, b in zip(hs, ht)
+        ):
+            return False
+        it = iter(ht)
+        return map_holes(s.body, lambda h: next(it)) is t.body
     if isinstance(s, Hole):
         return s.slot_type == t.slot_type and _alpha(
             s.content, t.content, env_s, env_t
@@ -607,28 +617,6 @@ def _alpha(s: Term, t: Term, env_s: tuple, env_t: tuple) -> bool:
             s.content, t.content, env_s, env_t
         )
     raise TypeError(f"not a term: {s!r}")
-
-
-def _alpha_quoted(s: Term, t: Term, env_s: tuple, env_t: tuple) -> bool:
-    # Quoted syntax is compared verbatim -- two quotations are equal only if
-    # they quote the identical expression.  Hole contents are live and are
-    # compared in the enclosing (unquoted) environment; quoted binders do
-    # not extend it.
-    if type(s) is not type(t):
-        return False
-    if isinstance(s, Hole):
-        return s.slot_type == t.slot_type and _alpha(
-            s.content, t.content, env_s, env_t
-        )
-    if not s.has_hole:
-        return s == t
-    for p, q in zip(s._parts, t._parts):
-        if isinstance(p, Term):
-            if not _alpha_quoted(p, q, env_s, env_t):
-                return False
-        elif p != q:
-            return False
-    return True
 
 
 def alpha_equivalent(s: Term, t: Term) -> bool:

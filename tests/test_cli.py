@@ -194,6 +194,34 @@ def test_an_arithmetic_predicate_with_a_free_variable_is_refused(tmp_path, capsy
     assert "cqe:2: error: check a: conclusion is ~isPeano" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, word",
+    [("constant x:y : bool\n", "constant"), ("define a.b := `T`\n", "define")],
+    ids=["constant", "define"],
+)
+def test_a_declared_name_must_be_an_identifier(tmp_path, capsys, text, word):
+    # neither name could be mentioned by a term or printed so that it parses
+    path = write(tmp_path, text)
+    assert main(["check", "--trace", path]) == 1
+    assert capsys.readouterr().err == f"{path}:1: error: malformed {word} command\n"
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        'eval (App (Abs (QuoVar "y" (TyVar "A")) (QuoConst "T" (TyBase "bool")))'
+        ' (QuoVar "z" (TyVar "A"))) to bool',
+        "eval (QuoVar \"x\" (TyVar \"A\")) to 'A",
+    ],
+    ids=["beta", "atom"],
+)
+def test_a_type_variable_name_without_a_quote_denotes_nothing(tmp_path, capsys, term):
+    path = write(tmp_path, f"thm b := (EVAL_CONV `{term}`)\n")
+    assert main(["check", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}:1: error: EVAL_CONV: Improper: ")
+
+
 def test_unknown_rule_rejected(tmp_path, capsys):
     path = write(tmp_path, "thm r := (FROBNICATE `T`)\n")
     assert main(["check", path]) == 1

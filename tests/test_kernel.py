@@ -75,7 +75,6 @@ from cqe.syntax import (
     alpha_equivalent,
     bool_ty,
     epsilon_ty,
-    free_variables,
     mk_fun,
     num_ty,
 )
@@ -139,7 +138,7 @@ def test_vsubst_refuses_an_identity_pair_that_conflicts(order):
 @pytest.mark.parametrize("second", ["other-type", "identity"])
 @pytest.mark.parametrize("reverse", [False, True], ids=["in-order", "reversed"])
 def test_inst_type_refuses_conflicting_instantiations(second, reverse):
-    a = TypeVariable("A")
+    a = TypeVariable("'A")
     x = Variable("x", a)
     pairs = [(a, num_ty()), (a, bool_ty() if second == "other-type" else a)]
     if reverse:
@@ -152,7 +151,7 @@ def test_inst_type_refuses_conflicting_instantiations(second, reverse):
 
 def test_repeated_equal_pairs_are_not_a_conflict():
     x = bv("x")
-    a = TypeVariable("A")
+    a = TypeVariable("'A")
     assert vsubst([(x, T), (x, T)], x) == T
     assert vsubst([(x, x), (x, x)], x) is x
     assert inst_type([(a, num_ty()), (a, num_ty())], Variable("x", a)) == Variable("x", num_ty())
@@ -238,7 +237,6 @@ def test_vsubst_returns_an_eval_free_term_without_the_variable_at_once(monkeypat
 
     x, y, z = bv("x"), bv("y"), bv("z")
     t = mk_conj(Application(Abstraction(y, y), T), mk_imp(T, mk_conj(z, F)))
-    free_variables(t)  # memoises the free-variable sets
     calls = []
     walk = kernel._vsubst
     monkeypatch.setattr(kernel, "_vsubst", lambda s, *args: calls.append(s) or walk(s, *args))
@@ -252,7 +250,7 @@ def test_vsubst_still_suspends_on_an_evaluation_without_the_variable():
     x, c = bv("x"), ev("c")
     e = Evaluation(c, bool_ty())
     t = mk_conj(e, T)
-    assert x not in _frees(t)  # memoised on t and e, and missing x
+    assert x not in _frees(t)  # t's free set misses x
     assert vsubst([(x, F)], e) == Application(Abstraction(x, e), F)
     assert vsubst([(x, F)], t) == mk_conj(Application(Abstraction(x, e), F), T)
 
@@ -340,8 +338,9 @@ def test_dest_not_effective_round_trip():
 
 
 def test_a_type_variable_prints_with_one_quote():
-    # names made in code lack the quote; names the parser makes keep it
-    assert repr(TypeVariable("A")) == "'A"
+    # the name keeps the quote, so a name without one has no surface syntax
+    with pytest.raises(IllTyped):
+        TypeVariable("A")
     assert repr(TypeVariable("'A")) == "'A"
     assert repr(parse_type("'A")) == "'A"
 

@@ -627,6 +627,19 @@ def test_is_expr_type_conv_positive_and_negative():
     )
 
 
+def test_is_expr_type_conv_decides_a_quote_less_type_variable_false():
+    # TyVar "A" names no type variable (a parsed one is 'A), so the variable
+    # construction is improper and denotes no term of any type
+    is_expr = Constant(
+        "isExprType", mk_fun(epsilon_ty(), mk_fun(type_ty(), bool_ty()))
+    )
+    for name, holds in (("A", False), ("'A", True)):
+        c = parse_term(f'QuoVar "x" (TyVar "{name}")')
+        tyc = parse_term(f'TyVar "{name}"')
+        claim = Application(Application(is_expr, c), tyc)
+        assert IS_EXPR_TYPE_CONV(c, tyc).concl == (claim if holds else mk_neg(claim))
+
+
 def test_is_expr_type_conv_guards():
     free = Variable("c", epsilon_ty())
     with pytest.raises(NotClosed):
