@@ -20,6 +20,7 @@ are self-introducing and cannot be redefined.
 
 from __future__ import annotations
 
+from . import session
 from .errors import (
     ContainsHole,
     DuplicateName,
@@ -96,16 +97,10 @@ def install(s) -> None:
     s.constants["isFreeIn"] = mk_fun(epsilon_ty(), mk_fun(epsilon_ty(), bool_ty()))
 
 
-_SIGS: dict = {}  # constructor name -> its signature type, built on first use
-
-
 def constructor_constant(name: str) -> Constant:
-    sig = _SIGS.get(name)
-    if sig is None:
-        if name not in CONSTRUCTORS:
-            raise NotAConstruction(f"not a constructor constant: {name!r}")
-        sig = _SIGS[name] = _sig_type(name)
-    return Constant(name, sig)
+    if name not in CONSTRUCTORS:
+        raise NotAConstruction(f"not a constructor constant: {name!r}")
+    return Constant(name, session.current().constants[name])
 
 
 def name_literal(text: str) -> Constant:

@@ -265,19 +265,6 @@ def _zonk(t) -> HolType:
     return TypeApplication(t.constructor, tuple(_zonk(a) for a in t.arguments))
 
 
-# Type variables of each constant signature, found once per signature.
-# Signatures are interned types, which are never freed, so this table keeps
-# alive nothing that the type table does not.
-_SIGNATURE_TYVARS: dict = {}
-
-
-def _tyvars_of_signature(ty: HolType) -> tuple:
-    tvs = _SIGNATURE_TYVARS.get(ty)
-    if tvs is None:
-        tvs = _SIGNATURE_TYVARS[ty] = tuple(type_variables_in(ty))
-    return tvs
-
-
 def _instance(ty: HolType, metas: dict):
     """``ty`` with each type variable replaced by its meta in ``metas``."""
     if type(ty) is TypeVariable:
@@ -560,7 +547,7 @@ class _Reader:
             return (vty, _P_VAR, name)
         generic = self.constants.get(name)
         if generic is not None:
-            tvs = _tyvars_of_signature(generic)
+            tvs = type_variables_in(generic)
             ety = _instance(generic, {tv: _Meta() for tv in tvs}) if tvs else generic
             if ann is not None and ann is not ety:
                 self._unify_at(ety, ann, off, f"annotation does not fit constant {name!r}")
@@ -841,12 +828,7 @@ def sexp_to_tree(text: str):
 
 
 def tree_to_json(tree) -> str:
-    def listify(x):
-        if isinstance(x, tuple):
-            return [listify(e) for e in x]
-        return x
-
-    return json.dumps(listify(tree), separators=(",", ":"))
+    return json.dumps(tree, separators=(",", ":"))
 
 
 def json_to_tree(text: str):

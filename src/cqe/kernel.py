@@ -69,6 +69,7 @@ from .syntax import (
     TypeVariable,
     Variable,
     _frees,
+    _interned,
     alpha_equivalent,
     bool_ty,
     epsilon_ty,
@@ -140,6 +141,9 @@ def _thm(hyps, concl, axioms=frozenset(), trusted=frozenset()) -> Theorem:
         raise IllTyped("a conclusion must have type bool")
     if concl.has_naked_hole:
         raise ContainsHole("a conclusion cannot contain a hole outside quotations")
+    # a hypothesis is a premise's or, under ASSUME, the conclusion itself
+    if not _interned(concl):
+        raise KernelError("a term was formed in another session")
     for h in hyps:
         if h.ty != bool_ty():
             raise IllTyped("a hypothesis must have type bool")

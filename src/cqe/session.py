@@ -2,13 +2,16 @@
 
 A session owns the type-constructor arity table, the constant signature, the
 named axioms and definitions, user-named theorems, the support theorems the
-derived rules instantiate, and the registry of proved not-effective facts
-that the substitution discipline consults.
+derived rules instantiate, the registry of proved not-effective facts
+that the substitution discipline consults, and the intern tables of the
+types and terms formed while it is active (see ``syntax``).
 
 The initial session is built once per process (the bootstrap installs the
 syntax-reflection constants, the logical connectives and their support
 theorems, the datatype facts, and the arithmetic signature) and then cloned,
-so ``reset()`` is cheap and tests are isolated.
+so ``reset()`` is cheap and tests are isolated.  A clone starts with the
+template's intern tables, so a node formed by the bootstrap is one object in
+every session.
 """
 
 from __future__ import annotations
@@ -34,34 +37,23 @@ class Session:
     theorems: dict = field(default_factory=dict)
     basis: dict = field(default_factory=dict)
     nei_registry: dict = field(default_factory=dict)
+    # the intern tables of syntax: structure key -> the one node formed
+    terms: dict = field(default_factory=dict, repr=False)
+    types: dict = field(default_factory=dict, repr=False)
 
     def copy(self) -> "Session":
-        return Session(
-            dict(self.type_arities),
-            dict(self.constants),
-            dict(self.axioms),
-            dict(self.definitions),
-            dict(self.theorems),
-            dict(self.basis),
-            dict(self.nei_registry),
-        )
+        return Session(**{name: dict(table) for name, table in vars(self).items()})
 
 
 _current = None
 _template = None
 
 
-def arity_table():
-    """The active arity table, bootstrapping on first use."""
-    if _current is not None:
-        return _current.type_arities
-    return _ensure().type_arities
-
-
 def current() -> Session:
-    if _current is not None:
-        return _current
-    return _ensure()
+    """The active session; a fresh bootstrap clone on first use."""
+    if _current is None:
+        reset()
+    return _current
 
 
 def template():
@@ -77,21 +69,14 @@ def reset() -> Session:
     return _current
 
 
-def _ensure() -> Session:
-    global _current
-    if _current is None:
-        _current = _build_template().copy()
-    return _current
-
-
 def _build_template() -> Session:
     global _template, _current
     if _template is None:
         s = Session()
         s.type_arities.update(_BASE_ARITIES)
         prev = _current
-        # Make the in-progress session visible so term formation performed
-        # by the bootstrap itself validates against the growing signature.
+        # Make the in-progress session visible so the bootstrap's own term
+        # formation validates against, and interns into, the growing template.
         _current = s
         try:
             _populate(s)

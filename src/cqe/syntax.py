@@ -1,16 +1,21 @@
 """Core term language: simple types and the seven-constructor term tree.
 
 Types and terms are hash-consed (Filliâtre & Conchon, "Type-Safe Modular
-Hash-Consing", 2006): a constructor looks the structure up in a
-process-wide table and returns the one object already built for it, so
-``==`` on types and on terms is identity.  The type table keeps its entries;
-the term table holds its terms weakly and keeps none of them alive.  A table
-hit skips the formation checks, which depend only on the parts, except the
-two that read the active session: the arity check of every
-``TypeApplication`` call and the signature check of every ``Constant`` call.
-So a type or a constant is always validated against the session that asks
-for it.  A type's arguments must themselves be types; anything else, such
-as the elaborator's unification variables, is refused with ``IllTyped``.
+Hash-Consing", 2006) in the active session's ``types`` and ``terms``
+tables: a constructor returns the one object already built for the
+structure, so ``==`` on types and on terms is identity.  Every formation
+check, the arity check of a type and the signature check of a constant
+included, runs once, on the table miss that builds the node.  A hit needs
+none: a session's signature only grows (redeclaration is refused), and
+every session starts from a copy of the bootstrap template's tables.  A
+type's arguments must be types; anything else, such as the elaborator's
+unification variables, is refused with ``IllTyped``.
+
+A node lives until its session is reset (``cqe repl`` never resets, so it
+keeps every node it builds).  Template nodes are shared by every session.
+A node kept from a discarded session is not ``is`` the same structure
+formed anew, yet would print and read back as it, so formation refuses it
+as a part and the kernel as a conclusion (``_interned``).
 
 Terms are immutable.  A new node validates its own formation conditions
 once, in its class's ``__post_init__``, so a constructed Term is well-typed
@@ -28,7 +33,8 @@ calculus:
   represents, at a stated result type.
 
 Eval-freeness, hole bookkeeping, the free-variable set and the term's type
-are computed once at construction and cached on the node.  The free set
+are computed once at construction and cached on the node, as is each
+type's set of type variables (``_tyvars``).  The free set
 (``_fv``) comes from the parts' sets, reusing a part's set whenever the
 node's is no larger, so a deep term holds few distinct sets and ``_frees``
 only reads it.
@@ -46,7 +52,6 @@ subterm.
 from __future__ import annotations
 
 import re
-import weakref
 
 from . import session
 from .errors import (
@@ -74,18 +79,17 @@ class HolType:
         raise AttributeError("types are immutable")
 
 
-# The intern table.  A TypeVariable's key is its name (a str) and a
-# TypeApplication's is (constructor, arguments) (a tuple), so the two kinds
-# never share a key.  Entries are never removed: a process sees few types.
-_TYPES: dict = {}
 _TYVAR_NAME = re.compile(r"'[A-Za-z_][A-Za-z0-9_]*")
 
 
 class TypeVariable(HolType):
-    __slots__ = ("name", "_hash")
+    # _tyvars is None: the set would hold the type variable itself
+    __slots__ = ("name", "_hash", "_tyvars")
 
     def __new__(cls, name):
-        ty = _TYPES.get(name) if type(name) is str else None
+        # the key is the name, a str; a TypeApplication's key is a tuple
+        table = session.current().types
+        ty = table.get(name) if type(name) is str else None
         if ty is None:
             # the name must print as the lexer's type-variable token reads it
             if not isinstance(name, str) or not _TYVAR_NAME.fullmatch(name):
@@ -93,7 +97,8 @@ class TypeVariable(HolType):
             ty = object.__new__(cls)
             object.__setattr__(ty, "name", name)
             object.__setattr__(ty, "_hash", hash(name))
-            ty = _TYPES.setdefault(name, ty)
+            object.__setattr__(ty, "_tyvars", None)
+            table[name] = ty
         return ty
 
     def __reduce__(self):
@@ -104,42 +109,45 @@ class TypeVariable(HolType):
 
 
 class TypeApplication(HolType):
-    __slots__ = ("constructor", "arguments", "_hash")
+    __slots__ = ("constructor", "arguments", "_hash", "_tyvars")
 
     def __new__(cls, constructor, arguments=()):
         if type(arguments) is not tuple:
             arguments = tuple(arguments)
-        # validated against the asking session on every call, hit or miss
-        try:
-            arity = session.arity_table().get(constructor)
-        except TypeError:  # an unhashable name names no constructor
-            arity = None
-        if arity is None:
-            raise UnknownName(f"unknown type constructor: {constructor!r}")
-        if arity != len(arguments):
-            raise IllTyped(
-                f"type constructor {constructor!r} expects {arity} "
-                f"argument(s), got {len(arguments)}"
-            )
         key = (constructor, arguments)
+        table = session.current().types
         try:
-            ty = _TYPES.get(key)
-        except TypeError:  # an unhashable argument: refused below
+            ty = table.get(key)
+        except TypeError:  # an unhashable part: formation below refuses it
             ty = None
         if ty is None:
-            for a in arguments:
-                if type(a) is not TypeApplication and type(a) is not TypeVariable:
-                    raise IllTyped(f"type argument is not a type: {a!r}")
             ty = object.__new__(TypeApplication)
             object.__setattr__(ty, "constructor", constructor)
             object.__setattr__(ty, "arguments", arguments)
             ty.__post_init__()
-            ty = _TYPES.setdefault(key, ty)
+            table[key] = ty
         return ty
 
     def __post_init__(self):
         # runs once per node built, never on a table hit
+        try:
+            arity = session.current().type_arities.get(self.constructor)
+        except TypeError:  # an unhashable name names no constructor
+            arity = None
+        if arity is None:
+            raise UnknownName(f"unknown type constructor: {self.constructor!r}")
+        if arity != len(self.arguments):
+            raise IllTyped(
+                f"type constructor {self.constructor!r} expects {arity} "
+                f"argument(s), got {len(self.arguments)}"
+            )
+        tyvars = frozenset()
+        for a in self.arguments:
+            if type(a) not in (TypeApplication, TypeVariable) or not _interned(a):
+                raise IllTyped(f"type argument not a type or from another session: {a!r}")
+            tyvars = _union(tyvars, type_variables_in(a))
         object.__setattr__(self, "_hash", hash((self.constructor, self.arguments)))
+        object.__setattr__(self, "_tyvars", tyvars)
 
     def __reduce__(self):
         return (TypeApplication, (self.constructor, self.arguments))
@@ -182,12 +190,8 @@ def is_fun(ty: HolType) -> bool:
 
 
 def type_variables_in(ty: HolType) -> frozenset:
-    if isinstance(ty, TypeVariable):
-        return frozenset((ty,))
-    out = frozenset()
-    for a in ty.arguments:
-        out |= type_variables_in(a)
-    return out
+    tyvars = ty._tyvars
+    return frozenset((ty,)) if tyvars is None else tyvars
 
 
 def match_type(generic: HolType, concrete: HolType, env: dict) -> bool:
@@ -228,12 +232,9 @@ def subst_type(ty: HolType, env: dict) -> HolType:
 # ---------------------------------------------------------------------------
 
 
-# The term intern table: (class, parts) -> the live node with those parts.
-_TERMS = weakref.WeakValueDictionary()
-
-
 class Term:
-    """Base class of the seven node kinds; interned, see the module docstring.
+    """Base class of the seven node kinds; interned in the active session's
+    ``terms`` table, see the module docstring.
 
     ``Cls(*parts)`` takes the parts in the order of ``Cls._fields`` and keeps
     them as the node's ``_parts`` tuple.
@@ -254,21 +255,23 @@ class Term:
 
     def __new__(cls, *parts):
         key = (cls, parts)
+        table = session.current().terms
         try:
-            t = _TERMS.get(key)
+            t = table.get(key)
         except TypeError:  # an unhashable part: formation below refuses it
             t = None
         if t is None:
             if len(parts) != len(cls._fields):
                 raise TypeError(f"{cls.__name__} takes {len(cls._fields)} parts")
+            for p in parts:
+                if isinstance(p, (Term, HolType)) and not _interned(p):
+                    raise IllTyped(f"part formed in another session: {p!r}")
             t = object.__new__(cls)
             d = t.__dict__
             d.update(zip(cls._fields, parts))
             d["_parts"] = parts
             t.__post_init__()
-            _TERMS[key] = t
-        elif cls is Constant:
-            t._check_in_session()
+            table[key] = t
         return t
 
     def __setattr__(self, name, value):
@@ -295,16 +298,30 @@ class Term:
         d["_fv"] = fv
 
 
+def _interned(node) -> bool:
+    """Whether ``node`` is the active session's node for its structure."""
+    s = session.current()
+    if isinstance(node, Term):
+        return s.terms.get((type(node), node._parts)) is node
+    key = node.name if type(node) is TypeVariable else (node.constructor, node.arguments)
+    return s.types.get(key) is node
+
+
 def _is_name_literal(name: str) -> bool:
     return len(name) >= 2 and name.startswith('"') and name.endswith('"')
+
+
+# The lexer's identifier token, less its keywords (frontend._TOKEN_RE).
+_VAR_NAME = re.compile(r"(?!(?:eval|to|Q_|_Q|H_|_H)\Z)[A-Za-z_][A-Za-z0-9_']*")
 
 
 class Variable(Term):
     _fields = ("name", "ty")
 
     def __post_init__(self):
-        if not isinstance(self.name, str) or not self.name:
-            raise IllTyped("variable name must be a non-empty string")
+        # the name must print as the lexer's identifier token reads it
+        if not isinstance(self.name, str) or not _VAR_NAME.fullmatch(self.name):
+            raise IllTyped(f"not a variable name (an identifier, not a keyword): {self.name!r}")
         if not isinstance(self.ty, HolType):
             raise IllTyped("variable type must be a HolType")
         self._seal(self.ty, True, True, False, False, None)
@@ -316,28 +333,20 @@ class Constant(Term):
     def __post_init__(self):
         if not isinstance(self.name, str) or not self.name:
             raise IllTyped("constant name must be a non-empty string")
-        self._check_in_session()
-        self._seal(self.ty, True, True, False, False, _NO_FREES)
-
-    def _check_in_session(self):
-        # runs on every formation, table hit or miss
         if _is_name_literal(self.name):
             # A name literal like "bool" denotes itself; its type is fixed.
             if self.ty != str_ty():
                 raise IllTyped(f"name literal {self.name} must have type str")
-            return
-        generic = session.current().constants.get(self.name)
-        if generic is None:
-            raise UnknownName(f"unknown constant: {self.name!r}")
-        # match_type is a pure function of two interned types: once is enough
-        d = self.__dict__
-        if self.ty is not generic and d.get("_generic") is not generic:
-            if not match_type(generic, self.ty, {}):
+        else:
+            generic = session.current().constants.get(self.name)
+            if generic is None:
+                raise UnknownName(f"unknown constant: {self.name!r}")
+            if self.ty is not generic and not match_type(generic, self.ty, {}):
                 raise IllTyped(
                     f"constant {self.name!r} at type {self.ty!r} is not an "
                     f"instance of its generic type {generic!r}"
                 )
-            d["_generic"] = generic
+        self._seal(self.ty, True, True, False, False, _NO_FREES)
 
 
 class Application(Term):

@@ -1,7 +1,9 @@
 """The command-line checker: scripts, exit codes, exports, and the repl."""
 
+import gc
 import io
 import os
+import re
 import types
 
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from cqe import kernel, logic, session
 from cqe.cli import RULE_SIGS, Runner, _rule_sigs, main
 from cqe.errors import ScriptError
+from cqe.syntax import HolType, Term
 
 SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "src", "cqe", "scripts")
 
@@ -28,13 +31,34 @@ def write(tmp_path, text):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "name", ["lem.cqe", "lem_instance.cqe", "peano.cqe", "presburger.cqe"]
-)
+SHIPPED = ["lem.cqe", "lem_instance.cqe", "peano.cqe", "presburger.cqe"]
+
+
+@pytest.mark.parametrize("name", SHIPPED)
 def test_shipped_scripts_pass(name, capsys):
     assert main(["check", script(name)]) == 0
     out = capsys.readouterr().out
     assert "ok:" in out
+
+
+def _live_nodes():
+    gc.collect()
+    live = gc.get_objects()
+    return sum(isinstance(o, Term) for o in live), sum(isinstance(o, HolType) for o in live)
+
+
+def test_checking_scripts_leaves_no_node_alive_after_reset(capsys):
+    # a session's intern tables go with it; nothing else may keep its nodes
+    def check_all():
+        for name in SHIPPED:
+            assert main(["check", script(name)]) == 0
+        session.reset()
+
+    check_all()
+    warm = _live_nodes()
+    for _ in range(10):
+        check_all()
+    assert _live_nodes() == warm
 
 
 def test_check_counts_commands_and_checks(tmp_path, capsys):
@@ -222,6 +246,18 @@ def test_a_type_variable_name_without_a_quote_denotes_nothing(tmp_path, capsys, 
     assert err.startswith(f"{path}:1: error: EVAL_CONV: Improper: ")
 
 
+@pytest.mark.parametrize("name", ["a b", "eval"], ids=["space", "keyword"])
+def test_a_variable_name_that_does_not_lex_as_one_denotes_nothing(tmp_path, capsys, name):
+    quoted = f'QuoVar "{name}" (TyBase "bool")'
+    path = write(tmp_path, f"thm b := (EVAL_CONV `eval ({quoted}) to bool`)\n")
+    assert main(["check", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}:1: error: EVAL_CONV: Improper: ")
+    path = write(tmp_path, f"thm e := (IS_EXPR_TYPE_CONV `{quoted}` `TyBase \"bool\"`)\n")
+    assert main(["check", "--trace", path]) == 0
+    assert f'|- ~isExprType ({quoted}) (TyBase "bool")' in capsys.readouterr().out
+
+
 def test_unknown_rule_rejected(tmp_path, capsys):
     path = write(tmp_path, "thm r := (FROBNICATE `T`)\n")
     assert main(["check", path]) == 1
@@ -255,6 +291,19 @@ def test_blocked_substitution_suggests_registration(tmp_path, capsys):
     assert main(["check", path]) == 1
     err = capsys.readouterr().err
     assert "register_nei" in err
+
+
+def test_an_assumed_not_effective_fact_is_not_registered(tmp_path, capsys):
+    # registered, the assumption would vanish from peano's hypotheses
+    with open(script("peano.cqe"), encoding="utf-8") as f:
+        text = f.read()
+    axiom = re.search(r"^axiom nei_peano := (`.*`)$", text, re.M)
+    text = text.replace(axiom[0], f"thm nei_peano := (ASSUME {axiom[1]})")
+    path = write(tmp_path, text)
+    assert main(["check", path]) == 1
+    line = text[: text.index("register_nei")].count("\n") + 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}:{line}: error: ") and "WrongShape" in err
 
 
 def test_register_nei_unblocks(tmp_path, capsys):

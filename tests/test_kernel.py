@@ -11,6 +11,7 @@ from cqe import kernel, session
 from cqe.constructions import constructor_constant, term_to_construction
 from cqe.errors import (
     ContainsHole,
+    DuplicateName,
     FreeOccurrence,
     HasHoles,
     IllTyped,
@@ -18,6 +19,7 @@ from cqe.errors import (
     NotAtomicQuote,
     NotAVariable,
     NotEvalFree,
+    OpenBody,
     QuotationTypePolymorphism,
     SameVariable,
     SubstitutionBlocked,
@@ -50,6 +52,7 @@ from cqe.kernel import (
     inst_type,
     mk_conj,
     mk_eq,
+    mk_exists,
     mk_imp,
     mk_is_expr_type,
     mk_is_free_in,
@@ -330,6 +333,47 @@ def test_dest_not_effective_round_trip():
     assert x == n and t == g
     with pytest.raises(WrongShape):
         dest_not_effective(T)
+
+
+def _nei_shape(y, lhs, rhs):
+    """~(?y. ~(lhs = rhs)): the outline of a not-effective statement."""
+    return mk_neg(mk_exists(y, mk_neg(mk_eq(lhs, rhs))))
+
+
+def _k_of(v):
+    """``k v : epsilon``, a term in which v is free."""
+    return Application(Variable("k", mk_fun(num_ty(), epsilon_ty())), v)
+
+
+@pytest.mark.parametrize(
+    "build, reason",
+    [
+        (lambda n, y: _nei_shape(y, _k_of(y), ev("g")), "missing applied abstraction"),
+        (
+            lambda n, y: _nei_shape(
+                y, Application(Abstraction(n, ev("g")), Variable("z", num_ty())), ev("g")
+            ),
+            "witness variable mismatch",
+        ),
+        (
+            lambda n, y: _nei_shape(y, Application(Abstraction(n, ev("g")), y), ev("h")),
+            "body and right side differ",
+        ),
+        (
+            lambda n, y: _nei_shape(n, Application(Abstraction(n, ev("g")), n), ev("g")),
+            "witness is not fresh",
+        ),
+        (
+            lambda n, y: _nei_shape(y, Application(Abstraction(n, _k_of(y)), y), _k_of(y)),
+            "witness is not fresh",
+        ),
+    ],
+    ids=["no_abstraction", "witness_mismatch", "body_differs", "witness_is_binder", "witness_in_body"],
+)
+def test_dest_not_effective_refuses_a_statement_off_the_shape(build, reason):
+    # each would register a substitution licence that the statement does not give
+    with pytest.raises(WrongShape, match=reason):
+        dest_not_effective(build(Variable("n", num_ty()), Variable("y", num_ty())))
 
 
 # ---------------------------------------------------------------------------
@@ -679,6 +723,20 @@ def test_new_constant_and_axiom():
         new_axiom("bad", Constant("_0", num_ty()))
 
 
+def test_new_axiom_refusals():
+    new_axiom("ax", T)
+    cases = [
+        ("ax", T, DuplicateName, "already registered"),
+        ("num_ax", Constant("_0", num_ty()), IllTyped, "an axiom must be a boolean"),
+        ("hole_ax", Hole(Quotation(T), bool_ty()), ContainsHole, "an axiom cannot"),
+    ]
+    before = dict(session.current().axioms)
+    for name, p, error, message in cases:
+        with pytest.raises(error, match=message):
+            new_axiom(name, p)
+    assert session.current().axioms == before
+
+
 def test_new_basic_definition():
     th = new_basic_definition("both", Abstraction(bv("p"), mk_conj(bv("p"), bv("p"))))
     c = Constant("both", mk_fun(bool_ty(), bool_ty()))
@@ -686,6 +744,34 @@ def test_new_basic_definition():
     assert not th.axioms  # definitions are conservative: not tracked
     with pytest.raises(KernelError):
         new_basic_definition("open_body", bv("p"))
+
+
+@pytest.mark.parametrize(
+    "name, build, error",
+    [
+        ("T", lambda: F, DuplicateName),
+        ("evaluated", lambda: Evaluation(Quotation(T), bool_ty()), NotEvalFree),
+        ("holed", lambda: Hole(Quotation(T), bool_ty()), ContainsHole),
+        ("open_body", lambda: bv("p"), OpenBody),
+        (
+            "polymorphic",
+            lambda: mk_eq(
+                Abstraction(Variable("x", TypeVariable("'a")), T),
+                Abstraction(Variable("x", TypeVariable("'a")), T),
+            ),
+            IllTyped,
+        ),
+    ],
+    ids=["declared_name", "evaluation", "naked_hole", "free_variable", "escaping_type_variable"],
+)
+def test_new_basic_definition_refusals(name, build, error):
+    # a refused definition declares nothing
+    body = build()
+    s = session.current()
+    before = dict(s.constants), dict(s.definitions)
+    with pytest.raises(error):
+        new_basic_definition(name, body)
+    assert (s.constants, s.definitions) == before
 
 
 def test_new_type_constructor():
@@ -701,6 +787,10 @@ def test_new_type_constructor():
 def test_register_not_effective_requires_the_shape():
     with pytest.raises(WrongShape):
         register_not_effective(REFL(T))
+    n, g = Variable("n", num_ty()), ev("g")
+    with pytest.raises(WrongShape, match="hypothesis"):
+        register_not_effective(ASSUME(mk_not_effective(n, g)))
+    assert (n, g) not in session.current().nei_registry
 
 
 # ---------------------------------------------------------------------------
@@ -739,6 +829,19 @@ def test_a_discarded_session_is_freed_without_the_garbage_collector():
             TRANS(th, REFL(T))
     finally:
         gc.enable()
+
+
+def test_a_term_kept_from_a_discarded_session_is_refused():
+    # x_old prints as, and reads back as, x_new: ABS would state
+    # (\zq. zq) = (\zq. zq) of two bodies that their binder does not bind
+    x_old = Variable("zq", bool_ty())
+    session.reset()
+    x_new = Variable("zq", bool_ty())
+    assert x_old is not x_new
+    with pytest.raises(KernelError, match="another session"):
+        ASSUME(x_old)
+    with pytest.raises(IllTyped, match="another session"):
+        ABS(x_old, REFL(x_new))
 
 
 def test_inst_type_and_the_registry_refuse_a_foreign_theorem():

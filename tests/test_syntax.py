@@ -27,7 +27,6 @@ from cqe.syntax import (
     TypeApplication,
     TypeVariable,
     Variable,
-    _TYPES,
     _frees,
     alpha_equivalent,
     bool_ty,
@@ -97,13 +96,13 @@ def test_a_table_hit_still_checks_arity():
 
 def test_elaboration_enters_no_unification_variable_into_the_table():
     parse_term("(x0:num = y0) /\\ (\\z0. z0) (u0:bool)")
-    size = len(_TYPES)
+    size = len(session.current().types)
     for i in range(1, 60):
         parse_term(f"(x{i}:num = y{i}) /\\ (\\z{i}. z{i}) (u{i}:bool)")
-    assert len(_TYPES) == size
+    assert len(session.current().types) == size
     with pytest.raises(IllTyped):
         mk_fun(num_ty(), _Meta())
-    assert len(_TYPES) == size
+    assert len(session.current().types) == size
 
 
 @pytest.mark.parametrize(
@@ -116,10 +115,10 @@ def test_elaboration_enters_no_unification_variable_into_the_table():
     ids=["str", "meta", "unhashable"],
 )
 def test_a_type_argument_must_be_a_type(build):
-    size = len(_TYPES)
+    size = len(session.current().types)
     with pytest.raises(IllTyped):
         build()
-    assert len(_TYPES) == size
+    assert len(session.current().types) == size
 
 
 @pytest.mark.parametrize("name", ["", 5, None], ids=["empty", "int", "none"])
@@ -282,7 +281,7 @@ def test_a_table_hit_still_checks_a_constant():
     new_constant("k", num_ty())
     with pytest.raises(IllTyped):
         Constant("k", bool_ty())
-    assert c.ty is bool_ty()  # the node stayed in the table all along
+    assert c.ty is bool_ty()  # the old session's node is unchanged
 
 
 def test_a_table_hit_matches_a_constant_type_once(monkeypatch):
@@ -301,13 +300,35 @@ def test_a_table_hit_matches_a_constant_type_once(monkeypatch):
     assert matched == []  # the hit, against the same generic, does not
 
 
-def test_the_table_does_not_keep_terms_alive():
-    x = Variable("unpinned", bool_ty())
-    t = Abstraction(x, Application(Abstraction(x, x), x))
-    refs = [weakref.ref(x), weakref.ref(t), weakref.ref(t.body)]
-    del x, t
-    gc.collect()
-    assert [r() for r in refs] == [None, None, None]
+def test_a_session_keeps_its_nodes_until_reset():
+    # nothing a node holds leads back to it, so reference counting frees it
+    gc.disable()
+    try:
+        x = Variable("unpinned", bool_ty())
+        t = Abstraction(x, Application(Abstraction(x, x), x))
+        refs = [weakref.ref(x), weakref.ref(t), weakref.ref(t.body)]
+        del x, t
+        assert all(r() is not None for r in refs)
+        session.reset()
+        assert [r() for r in refs] == [None, None, None]
+    finally:
+        gc.enable()
+
+
+def test_a_node_from_a_discarded_session_is_no_part_of_a_new_one():
+    new_type_constructor("box", 1)
+    ty_old = TypeApplication("box", (num_ty(),))
+    x_old = Variable("unpinned", bool_ty())
+    session.reset()
+    new_type_constructor("box", 1)
+    assert TypeApplication("box", (num_ty(),)) is not ty_old
+    for build in (
+        lambda: mk_fun(ty_old, bool_ty()),
+        lambda: Variable("y", ty_old),
+        lambda: Abstraction(x_old, Variable("unpinned", bool_ty())),
+    ):
+        with pytest.raises(IllTyped, match="another session"):
+            build()
 
 
 def test_formation_checks_run_once_per_new_node(monkeypatch):
