@@ -208,6 +208,15 @@ def test_a_constant_not_yet_declared_is_refused(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"{path}:1: error: IS_EXPR_TYPE_CONV: UnknownName: ")
 
+
+def test_eq_mp_refuses_an_equation_whose_left_side_is_not_the_theorem(tmp_path, capsys):
+    # F = F read against |- T: without the check this proves F
+    path = write(tmp_path, "thm bad := (EQ_MP (REFL `F`) TRUTH)\ncheck bad matches `F`\n")
+    assert main(["check", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}:1: error: EQ_MP: WrongShape: ")
+
+
 def test_an_arithmetic_predicate_with_a_free_variable_is_refused(tmp_path, capsys):
     path = write(
         tmp_path,

@@ -494,6 +494,9 @@ def test_assume_and_eq_mp():
     eq = ASSUME(mk_eq(p, T))
     out = EQ_MP(eq, a)
     assert out.concl == T and out.hyps == {mk_eq(p, T), p}
+    truth = session.current().theorems["TRUTH"]
+    with pytest.raises(WrongShape, match="left side does not match"):
+        EQ_MP(REFL(F), truth)
 
 
 def test_deduct_antisym():
