@@ -23,7 +23,6 @@ from __future__ import annotations
 from . import session
 from .errors import (
     ContainsHole,
-    DuplicateName,
     Improper,
     KernelError,
     NotAConstruction,
@@ -85,13 +84,10 @@ def _sig_type(name: str) -> HolType:
 
 
 def install(s) -> None:
-    """Register the reflection signature in a session (once)."""
-    if "str" in s.type_arities:
-        raise DuplicateName("type constructor already registered: 'str'")
+    """Register the reflection signature in the bootstrap session, which
+    declares nothing else yet but ``=``."""
     s.type_arities["str"] = 0
     for name in CONSTRUCTORS:
-        if name in s.constants:
-            raise DuplicateName(f"constant already registered: {name!r}")
         s.constants[name] = _sig_type(name)
     s.constants["isExprType"] = mk_fun(epsilon_ty(), mk_fun(type_ty(), bool_ty()))
     s.constants["isFreeIn"] = mk_fun(epsilon_ty(), mk_fun(epsilon_ty(), bool_ty()))
@@ -185,12 +181,11 @@ def expand_quasiquote(q: Quotation) -> Term:
 
 
 def _encode(t: Term, splice: bool, types: dict) -> Term:
-    # ``types`` lives for one call, so each distinct type is encoded once
+    # ``types`` lives for one call, so each distinct type is encoded once.
+    # No Evaluation or Hole reaches here: term_to_construction refuses them,
+    # and a quotation body has evaluations only inside holes, all spliced.
     if splice and isinstance(t, Hole):
         return t.content
-    name = NODE_CONSTRUCTOR.get(type(t))
-    if name is None:
-        raise NotEvalFree(f"cannot encode {type(t).__name__}")
     args = []
     for p in t._parts:
         if isinstance(p, Term):
@@ -199,7 +194,7 @@ def _encode(t: Term, splice: bool, types: dict) -> Term:
             args.append(_encode_type(p, types))
         else:
             args.append(name_literal(p))
-    return apply_terms(constructor_constant(name), args)
+    return apply_terms(constructor_constant(NODE_CONSTRUCTOR[type(t)]), args)
 
 
 # ---------------------------------------------------------------------------

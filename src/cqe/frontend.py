@@ -54,6 +54,9 @@ from .errors import (
     SourceSpan,
 )
 from .syntax import (
+    IDENT,
+    KEYWORD,
+    TYVAR,
     Abstraction,
     Application,
     Constant,
@@ -97,11 +100,11 @@ __all__ = [
 # A token's kind is IDENT, TYVAR, NUMERAL, STRING or EOF, or for an
 # operator or keyword its own text.
 _TOKEN_RE = re.compile(
-    r"""\s*(?:
+    rf"""\s*(?:
         (?P<STRING>"[^"\n]*")
-      | (?P<TYVAR>'[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<KW>(?:eval|to|Q_|_Q|H_|_H)(?![A-Za-z0-9_']))
-      | (?P<IDENT>[A-Za-z_][A-Za-z0-9_']*)
+      | (?P<TYVAR>{TYVAR})
+      | (?P<KW>{KEYWORD}(?![A-Za-z0-9_']))
+      | (?P<IDENT>{IDENT})
       | (?P<NUMERAL>[0-9]+)
       | (?P<OP>==>|->|<=|/\\|\\/|[()\.:\\~=!?+*])
       | (?P<EOF>\Z)

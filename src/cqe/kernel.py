@@ -25,6 +25,18 @@ in t" supplies the missing licences, and substitution fails loudly with the
 conditions it would need rather than guessing.  Substitution into an
 evaluation is never performed at all; the redex is kept suspended so the
 equation can be discharged by inference later.
+
+Each check has one home.  Formation (:mod:`cqe.syntax`) makes every term
+well-typed: each part is of its field's kind, a binder is a variable, an
+operand fits its operator's domain.  ``_thm`` alone checks that a
+conclusion is boolean, holds no hole outside quotations and is the
+session's node.  A rule checks only what neither does: its premises' shape,
+its side conditions, and arguments that would otherwise be refused under
+another class or as a raw Python error.  Every hypothesis is boolean and
+free of naked holes, so ``_thm`` checks none: each is a premise's, an
+``INST`` image of one (``vsubst`` substitutes only hole-free terms of the
+variable's type), an ``INST_TYPE`` image (which keeps ``bool``), or
+``ASSUME``'s checked conclusion.
 """
 
 from __future__ import annotations
@@ -136,19 +148,15 @@ class Theorem:
 
 
 def _thm(hyps, concl, axioms=frozenset(), trusted=frozenset()) -> Theorem:
+    """The theorem maker.  It checks the conclusion only: every hypothesis is
+    already boolean and free of naked holes (see the module docstring)."""
     hyps = frozenset(hyps)
     if concl.ty != bool_ty():
         raise IllTyped("a conclusion must have type bool")
     if concl.has_naked_hole:
         raise ContainsHole("a conclusion cannot contain a hole outside quotations")
-    # a hypothesis is a premise's or, under ASSUME, the conclusion itself
     if not _interned(concl):
         raise KernelError("a term was formed in another session")
-    for h in hyps:
-        if h.ty != bool_ty():
-            raise IllTyped("a hypothesis must have type bool")
-        if h.has_naked_hole:
-            raise ContainsHole("a hypothesis cannot contain a hole outside quotations")
     return Theorem(hyps, concl, frozenset(axioms), frozenset(trusted), _MAKER)
 
 
@@ -298,8 +306,6 @@ def dest_not_effective(p: Term):
     t = l.fn.body
     if t != r:
         raise WrongShape("not a not-effective statement: body and right side differ")
-    if x.ty != y.ty:
-        raise WrongShape("not a not-effective statement: witness has the wrong type")
     if x == y or y in _frees(t):
         raise WrongShape("not a not-effective statement: witness is not fresh")
     return x, t
@@ -521,8 +527,6 @@ def _inst_type(t: Term, env: dict) -> Term:
 
 
 def REFL(t: Term) -> Theorem:
-    if t.has_naked_hole:
-        raise ContainsHole("cannot state equality of a term with naked holes")
     return _thm((), mk_eq(t, t))
 
 
@@ -581,16 +585,10 @@ def BETA(t: Term) -> Theorem:
         and t.arg == t.fn.var
     ):
         raise WrongShape("BETA wants a redex whose argument is the bound variable")
-    if t.has_naked_hole:
-        raise ContainsHole("cannot state equality of a term with naked holes")
     return _thm((), mk_eq(t, t.fn.body))
 
 
 def ASSUME(p: Term) -> Theorem:
-    if p.ty != bool_ty():
-        raise IllTyped("only a boolean term can be assumed")
-    if p.has_naked_hole:
-        raise ContainsHole("cannot assume a term with naked holes")
     return _thm((p,), p)
 
 
@@ -773,8 +771,6 @@ def NEITHER_EFFECTIVE(x: Variable, y: Variable, a: Term, b: Term) -> Theorem:
         raise SameVariable("the two bound variables must differ")
     if a.ty != x.ty:
         raise TypeMismatch("the argument's type must match the outer variable's")
-    if a.has_naked_hole or b.has_naked_hole:
-        raise ContainsHole("arguments cannot contain holes outside quotations")
     ante = mk_disj(mk_not_effective(y, a), mk_not_effective(x, b))
     lhs = Application(Abstraction(x, Abstraction(y, b)), a)
     rhs = Abstraction(y, Application(Abstraction(x, b), a))
@@ -819,10 +815,6 @@ def new_axiom(name: str, p: Term) -> Theorem:
     s = session.current()
     if name in s.axioms:
         raise DuplicateName(f"axiom already registered: {name!r}")
-    if p.ty != bool_ty():
-        raise IllTyped("an axiom must be a boolean term")
-    if p.has_naked_hole:
-        raise ContainsHole("an axiom cannot contain a hole outside quotations")
     th = _thm((), p, axioms=frozenset((name,)))
     s.axioms[name] = th
     return th

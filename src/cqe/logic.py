@@ -43,7 +43,6 @@ from .errors import (
     Improper,
     KernelError,
     NotAtomicQuote,
-    NotAVariable,
     NotClosed,
     NotEvalFree,
     TypeMismatch,
@@ -62,6 +61,7 @@ from .kernel import (
     REFL,
     TRANS,
     Theorem,
+    _want_epsilon,
     dest_conj,
     dest_disj,
     dest_eq,
@@ -210,15 +210,10 @@ def BETA_EVAL(x: Variable, b: Term, beta: HolType) -> Theorem:
     """(\\x. eval b to beta) x  =  eval b to beta, an instance of BETA.
 
     The trivial-instantiation law for suspended substitutions; b may itself
-    contain evaluations.
+    contain evaluations.  A non-variable x is refused by Abstraction.
     """
-    if not isinstance(x, Variable):
-        raise NotAVariable("BETA_EVAL needs the bound variable")
-    if b.ty != epsilon_ty():
-        raise IllTyped("the evaluated construction must have type epsilon")
     # checked before Evaluation, which would raise HoleOutsideQuotation
-    if b.has_naked_hole:
-        raise ContainsHole("the evaluated construction contains a hole outside quotations")
+    _want_epsilon(b, "the evaluated construction")
     return BETA(Application(Abstraction(x, Evaluation(b, beta)), x))
 
 
@@ -320,9 +315,8 @@ def DISJ_CASES(thd: Theorem, tha: Theorem, thb: Theorem) -> Theorem:
 
 
 def NOT_INTRO(th: Theorem) -> Theorem:
-    a, c = dest_imp(th.concl)
-    if not (isinstance(c, Constant) and c.name == "F"):
-        raise WrongShape("NOT_INTRO expects an implication into F")
+    # EQ_MP refuses a conclusion other than a ==> F
+    a, _ = dest_imp(th.concl)
     eq = INST(((_pvar(_P), a),), _basis("not_eq"))
     return EQ_MP(SYM(eq), th)
 

@@ -18,9 +18,11 @@ formed anew, yet would print and read back as it, so formation refuses it
 as a part and the kernel as a conclusion (``_interned``).
 
 Terms are immutable.  A new node validates its own formation conditions
-once, in its class's ``__post_init__``, so a constructed Term is well-typed
-by construction.  Three node kinds go beyond the simply typed lambda
-calculus:
+once: ``Term.__new__`` checks that each part is of its field's kind (a type
+part a ``HolType``, a term part a ``Term``) and the active session's node,
+and the class's ``__post_init__`` checks the rest, so a constructed Term is
+well-typed by construction.  Three node kinds go beyond the simply typed
+lambda calculus:
 
 * ``Quotation`` wraps a term and denotes that term's syntax tree.  Its body
   must not contain an evaluation except inside a hole — quoting a term whose
@@ -79,7 +81,15 @@ class HolType:
         raise AttributeError("types are immutable")
 
 
-_TYVAR_NAME = re.compile(r"'[A-Za-z_][A-Za-z0-9_]*")
+# The surface shapes of names, stated once: the lexer (frontend._TOKEN_RE)
+# builds its IDENT, TYVAR and keyword groups from these, and formation
+# refuses a variable or type-variable name the lexer would not read back.
+IDENT = r"[A-Za-z_][A-Za-z0-9_']*"
+TYVAR = r"'[A-Za-z_][A-Za-z0-9_]*"
+KEYWORDS = ("eval", "to", "Q_", "_Q", "H_", "_H")
+KEYWORD = "(?:" + "|".join(KEYWORDS) + ")"
+_TYVAR_NAME = re.compile(TYVAR)
+_VAR_NAME = re.compile(rf"(?!{KEYWORD}\Z){IDENT}")
 
 
 class TypeVariable(HolType):
@@ -236,12 +246,13 @@ class Term:
     """Base class of the seven node kinds; interned in the active session's
     ``terms`` table, see the module docstring.
 
-    ``Cls(*parts)`` takes the parts in the order of ``Cls._fields`` and keeps
-    them as the node's ``_parts`` tuple.
+    ``Cls(*parts)`` takes the parts in the order of ``Cls._fields``, which
+    maps each field to the kind its part must be, and keeps them as the
+    node's ``_parts`` tuple.
     """
 
     __slots__ = ()
-    _fields: tuple = ()
+    _fields: dict = {}
 
     # Caches set by each subclass's __post_init__:
     #   ty               -- the term's type (a field on Variable/Constant)
@@ -263,7 +274,9 @@ class Term:
         if t is None:
             if len(parts) != len(cls._fields):
                 raise TypeError(f"{cls.__name__} takes {len(cls._fields)} parts")
-            for p in parts:
+            for p, kind in zip(parts, cls._fields.values()):
+                if not isinstance(p, kind):
+                    raise IllTyped(f"{cls.__name__} part is not a {kind.__name__}: {p!r}")
                 if isinstance(p, (Term, HolType)) and not _interned(p):
                     raise IllTyped(f"part formed in another session: {p!r}")
             t = object.__new__(cls)
@@ -311,28 +324,22 @@ def _is_name_literal(name: str) -> bool:
     return len(name) >= 2 and name.startswith('"') and name.endswith('"')
 
 
-# The lexer's identifier token, less its keywords (frontend._TOKEN_RE).
-_VAR_NAME = re.compile(r"(?!(?:eval|to|Q_|_Q|H_|_H)\Z)[A-Za-z_][A-Za-z0-9_']*")
-
-
 class Variable(Term):
-    _fields = ("name", "ty")
+    _fields = {"name": str, "ty": HolType}
 
     def __post_init__(self):
         # the name must print as the lexer's identifier token reads it
-        if not isinstance(self.name, str) or not _VAR_NAME.fullmatch(self.name):
+        if not _VAR_NAME.fullmatch(self.name):
             raise IllTyped(f"not a variable name (an identifier, not a keyword): {self.name!r}")
-        if not isinstance(self.ty, HolType):
-            raise IllTyped("variable type must be a HolType")
         self._seal(self.ty, True, True, False, False, None)
 
 
 class Constant(Term):
-    _fields = ("name", "ty")
+    _fields = {"name": str, "ty": HolType}
 
     def __post_init__(self):
-        if not isinstance(self.name, str) or not self.name:
-            raise IllTyped("constant name must be a non-empty string")
+        if not self.name:
+            raise IllTyped("constant name must be non-empty")
         if _is_name_literal(self.name):
             # A name literal like "bool" denotes itself; its type is fixed.
             if self.ty != str_ty():
@@ -350,7 +357,7 @@ class Constant(Term):
 
 
 class Application(Term):
-    _fields = ("fn", "arg")
+    _fields = {"fn": Term, "arg": Term}
 
     def __post_init__(self):
         fty = self.fn.ty
@@ -372,7 +379,8 @@ class Application(Term):
 
 
 class Abstraction(Term):
-    _fields = ("var", "body")
+    # any binder part: __post_init__ refuses a non-variable as NotAVariable
+    _fields = {"var": object, "body": Term}
 
     def __post_init__(self):
         if not isinstance(self.var, Variable):
@@ -391,7 +399,7 @@ class Abstraction(Term):
 
 
 class Quotation(Term):
-    _fields = ("body",)
+    _fields = {"body": Term}
 
     def __post_init__(self):
         if not self.body.ef_outside_holes:
@@ -406,7 +414,7 @@ class Quotation(Term):
 
 
 class Hole(Term):
-    _fields = ("content", "slot_type")
+    _fields = {"content": Term, "slot_type": HolType}
 
     def __post_init__(self):
         c = self.content
@@ -418,7 +426,7 @@ class Hole(Term):
 
 
 class Evaluation(Term):
-    _fields = ("content", "result_type")
+    _fields = {"content": Term, "result_type": HolType}
 
     def __post_init__(self):
         c = self.content

@@ -375,6 +375,8 @@ def test_fuzzed_rule_applications_produce_only_boolean_sequents():
     thms = [REFL(t) for t in terms[:20]]
     thms += [ASSUME(t) for t in terms if t.ty == bool_ty()][:20]
     thms += list(session.current().theorems.values())
+    # holes outside any quotation: formable terms that no sequent may hold
+    terms += [Hole(Quotation(t), t.ty) for t in terms[:40] if t.ef_outside_holes]
 
     pools = {
         "term": terms,
@@ -405,8 +407,9 @@ def test_fuzzed_rule_applications_produce_only_boolean_sequents():
             continue  # rejected input: fine, as long as it is *rejected*
         produced += 1
         assert isinstance(th, Theorem)
-        assert th.concl.ty == bool_ty()
-        assert all(h.ty == bool_ty() for h in th.hyps)
+        # every conclusion and hypothesis is boolean and free of naked holes
+        for t in (th.concl, *th.hyps):
+            assert t.ty == bool_ty() and not t.has_naked_hole
         if len(thms) < 600:
             thms.append(th)
     assert applications == 10_000

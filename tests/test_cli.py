@@ -315,6 +315,17 @@ def test_an_assumed_not_effective_fact_is_not_registered(tmp_path, capsys):
     assert err.startswith(f"{path}:{line}: error: ") and "WrongShape" in err
 
 
+@pytest.mark.parametrize(
+    "statement, reason",
+    [("T", "expected a negation"), ("~T", "expected a '?' binder")],
+    ids=["no_negation", "no_binder"],
+)
+def test_register_nei_refuses_a_statement_off_the_shape(tmp_path, capsys, statement, reason):
+    path = write(tmp_path, f"axiom a := `{statement}`\nregister_nei a\n")
+    assert main(["check", path]) == 1
+    assert capsys.readouterr().err.startswith(f"{path}:2: error: WrongShape: {reason}")
+
+
 def test_register_nei_unblocks(tmp_path, capsys):
     path = write(
         tmp_path,

@@ -31,6 +31,7 @@ from cqe.errors import (
     NotEvalFree,
     UnsupportedArity,
 )
+from cqe.kernel import new_constant
 from cqe.syntax import (
     Abstraction,
     Application,
@@ -190,6 +191,10 @@ def test_encoding_refuses_evaluations_and_holes():
     q = Quotation(Hole(Variable("c", epsilon_ty()), bool_ty()))
     with pytest.raises(ContainsHole):
         term_to_construction(q)
+    # an evaluation is refused as one, also inside a hole
+    q = Quotation(Hole(Evaluation(Variable("c", epsilon_ty()), epsilon_ty()), bool_ty()))
+    with pytest.raises(NotEvalFree):
+        term_to_construction(q)
 
 
 def test_type_encoding_arity_limit():
@@ -256,6 +261,13 @@ def test_decoding_refuses_an_evaluation_before_reducing():
     with pytest.raises(NotAConstruction):
         construction_to_term(redex)
 
+def test_only_a_constructor_name_gives_a_constructor_constant():
+    new_constant("Foo", epsilon_ty())
+    assert constructor_constant("App").name == "App"
+    with pytest.raises(NotAConstruction):
+        constructor_constant("Foo")
+
+
 def test_name_literals():
     assert dest_name_literal(name_literal("fun")) == "fun"
     with pytest.raises(NotAConstruction):
@@ -280,6 +292,11 @@ def test_expand_quasiquote_agrees_with_encoding_when_hole_free():
     for _ in range(60):
         t = gen.eval_free(depth=3)
         assert expand_quasiquote(Quotation(t)) == term_to_construction(t)
+
+
+def test_expand_quasiquote_wants_a_quotation():
+    with pytest.raises(NotAConstruction):
+        expand_quasiquote(Variable("c", epsilon_ty()))
 
 
 def test_expand_quasiquote_reaches_nested_quotations():
@@ -336,6 +353,10 @@ def test_is_free_in_meta_basics():
     assert is_free_in_meta(xq, oracle_term(Application(Abstraction(y, y), x)))
     with pytest.raises(NotAVariable):
         is_free_in_meta(oracle_term(Constant("T", bool_ty())), oracle_term(x))
+    # an improper first argument denotes no variable either
+    tru = oracle_term(Constant("T", bool_ty()))
+    with pytest.raises(NotAVariable, match="denotes no variable"):
+        is_free_in_meta(_ap("App", tru, tru), oracle_term(x))
 
 
 def test_is_free_in_meta_sees_through_inner_quotations():

@@ -80,10 +80,11 @@ from cqe.syntax import (
     epsilon_ty,
     mk_fun,
     num_ty,
+    str_ty,
 )
 
 from cqe.frontend import parse_type
-from cqe.logic import BETA_EVAL, CONST_DISQUO, SYM, VAR_DISQUO
+from cqe.logic import BETA_EVAL, CONST_DISQUO, NOT_ELIM, SYM, VAR_DISQUO
 
 from genterms import TermGen
 
@@ -711,6 +712,162 @@ def test_neither_effective_shape():
 
 
 # ---------------------------------------------------------------------------
+# guards: each refusal has one home, and each one is exercised
+# ---------------------------------------------------------------------------
+
+
+def _naked_hole(ty):
+    """H_ Q_ T _Q _H : ty, a hole outside any quotation."""
+    return Hole(Quotation(T), ty)
+
+
+def _eval_in_hole():
+    """Q_ H_ eval c to epsilon _H _Q: quotable, but not eval-free."""
+    return Quotation(Hole(Evaluation(ev("c"), epsilon_ty()), bool_ty()))
+
+
+def _truth_of_eval():
+    """eval x to bool = T |- eval x to bool = T."""
+    return ASSUME(mk_eq(Evaluation(ev("x"), bool_ty()), T))
+
+
+_ZERO = Constant("_0", num_ty())
+
+GUARDS = [
+    # _thm's conclusion checks are the only home of "a theorem is a boolean
+    # sequent with no naked hole": the rules below no longer repeat them
+    ("ASSUME non-bool", lambda: ASSUME(_ZERO), IllTyped, "conclusion must have type bool"),
+    ("ASSUME hole", lambda: ASSUME(_naked_hole(bool_ty())), ContainsHole, "a conclusion cannot"),
+    ("REFL hole", lambda: REFL(_naked_hole(num_ty())), ContainsHole, "a conclusion cannot"),
+    (
+        "BETA hole",
+        lambda: BETA(Application(Abstraction(bv("x"), _naked_hole(bool_ty())), bv("x"))),
+        ContainsHole,
+        "a conclusion cannot",
+    ),
+    (
+        "NEITHER_EFFECTIVE hole in a",
+        lambda: NEITHER_EFFECTIVE(bv("x"), bv("y"), _naked_hole(bool_ty()), T),
+        ContainsHole,
+        "a conclusion cannot",
+    ),
+    (
+        "NEITHER_EFFECTIVE hole in b",
+        lambda: NEITHER_EFFECTIVE(bv("x"), bv("y"), T, _naked_hole(bool_ty())),
+        ContainsHole,
+        "a conclusion cannot",
+    ),
+    # a hypothesis is a premise's, an INST or INST_TYPE image of one, or
+    # ASSUME's conclusion: INST refuses the payload that would break it
+    (
+        "INST hole into a hypothesis",
+        lambda: INST([(bv("p"), _naked_hole(bool_ty()))], ASSUME(bv("p"))),
+        ContainsHole,
+        "cannot substitute",
+    ),
+    # Abstraction formation is the home of "a binder is a variable"
+    ("BETA_EVAL constant binder", lambda: BETA_EVAL(T, ev("b"), bool_ty()), NotAVariable, "binder"),
+    ("BETA_EVAL non-term binder", lambda: BETA_EVAL("x", ev("b"), bool_ty()), NotAVariable, "binder"),
+    # Application formation is the home of "the witness has x's type"
+    (
+        "not-effective witness type",
+        lambda: _nei_shape(
+            bv("y"), Application(Abstraction(Variable("n", num_ty()), ev("g")), bv("y")), ev("g")
+        ),
+        IllTyped,
+        "operand type",
+    ),
+    # rule-local checks that nothing else makes: each input here would get
+    # another class, a raw Python error or a theorem without its check
+    ("ABS constant", lambda: ABS(T, _truth_of_eval()), NotAVariable, "ABS needs a variable"),
+    (
+        "ABS_SPLIT non-epsilon body",
+        lambda: ABS_SPLIT(Variable("v", num_ty()), Evaluation(ev("x"), bool_ty()), bool_ty()),
+        IllTyped,
+        "must have type epsilon",
+    ),
+    (
+        "QUOTABLE hole",
+        lambda: QUOTABLE(_naked_hole(epsilon_ty())),
+        ContainsHole,
+        "contains a hole outside quotations",
+    ),
+    (
+        "BETA_EVAL non-epsilon",
+        lambda: BETA_EVAL(ev("x"), T, bool_ty()),
+        IllTyped,
+        "must have type epsilon",
+    ),
+    (
+        "BETA_EVAL hole",
+        lambda: BETA_EVAL(ev("x"), _naked_hole(epsilon_ty()), bool_ty()),
+        ContainsHole,
+        "contains a hole outside quotations",
+    ),
+    (
+        "ABS_SPLIT unquotable binder",
+        lambda: ABS_SPLIT(Evaluation(ev("c"), num_ty()), ev("a"), bool_ty()),
+        NotAVariable,
+        "ABS_SPLIT needs",
+    ),
+    (
+        "ABS_SPLIT evaluation in a hole",
+        lambda: ABS_SPLIT(Variable("v", num_ty()), _eval_in_hole(), bool_ty()),
+        NotEvalFree,
+        "must be eval-free",
+    ),
+    (
+        "BETA_REVAL constant binder",
+        lambda: BETA_REVAL(T, ev("b"), _ZERO, bool_ty()),
+        NotAVariable,
+        "BETA_REVAL needs",
+    ),
+    (
+        "BETA_REVAL evaluation in a hole",
+        lambda: BETA_REVAL(ev("x"), ev("x"), _eval_in_hole(), bool_ty()),
+        NotEvalFree,
+        "must be eval-free",
+    ),
+    (
+        "NOT_FREE_OR_EFFECTIVE_IN application",
+        lambda: NOT_FREE_OR_EFFECTIVE_IN(mk_neg(T), T),
+        NotAVariable,
+        "expected a variable",
+    ),
+    (
+        "NEITHER_EFFECTIVE application",
+        lambda: NEITHER_EFFECTIVE(bv("x"), mk_neg(T), T, T),
+        NotAVariable,
+        "expected variables",
+    ),
+    (
+        "NEITHER_EFFECTIVE argument type",
+        lambda: NEITHER_EFFECTIVE(bv("x"), bv("y"), _ZERO, T),
+        TypeMismatch,
+        "outer variable",
+    ),
+    ("vsubst non-term", lambda: vsubst([(bv("x"), T)], 5), KernelError, "not a term"),
+    ("vsubst non-term payload", lambda: vsubst([(bv("x"), 5)], bv("x")), KernelError, "payload"),
+    (
+        "inst_type non-type",
+        lambda: inst_type([(TypeVariable("'a"), 5)], Variable("x", TypeVariable("'a"))),
+        TypeMismatch,
+        "not a type",
+    ),
+    ("NOT_ELIM non-negation", lambda: NOT_ELIM(ASSUME(T)), WrongShape, "negation"),
+    ("not-effective without binder", lambda: dest_not_effective(mk_neg(T)), WrongShape, "binder"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, error, message", [g[1:] for g in GUARDS], ids=[g[0] for g in GUARDS]
+)
+def test_each_guard_refuses_with_its_class(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
+# ---------------------------------------------------------------------------
 # session-extending operations
 # ---------------------------------------------------------------------------
 
@@ -730,8 +887,8 @@ def test_new_axiom_refusals():
     new_axiom("ax", T)
     cases = [
         ("ax", T, DuplicateName, "already registered"),
-        ("num_ax", Constant("_0", num_ty()), IllTyped, "an axiom must be a boolean"),
-        ("hole_ax", Hole(Quotation(T), bool_ty()), ContainsHole, "an axiom cannot"),
+        ("num_ax", Constant("_0", num_ty()), IllTyped, "a conclusion must have type bool"),
+        ("hole_ax", Hole(Quotation(T), bool_ty()), ContainsHole, "a conclusion cannot"),
     ]
     before = dict(session.current().axioms)
     for name, p, error, message in cases:
@@ -785,6 +942,18 @@ def test_new_type_constructor():
     assert ty.arguments == (bool_ty(), num_ty())
     with pytest.raises(KernelError):
         new_type_constructor("pair2", 2)
+    before = dict(session.current().type_arities)
+    for arity in (-1, "2", None):
+        with pytest.raises(KernelError, match="arity"):
+            new_type_constructor("bad", arity)
+    assert session.current().type_arities == before
+
+
+def test_a_name_literal_cannot_be_declared_a_constant():
+    before = dict(session.current().constants)
+    with pytest.raises(DuplicateName, match="reserved for literals"):
+        new_constant('"q"', str_ty())
+    assert session.current().constants == before
 
 
 def test_register_not_effective_requires_the_shape():
@@ -866,24 +1035,26 @@ def test_inst_type_and_the_registry_refuse_a_foreign_theorem():
 
 
 def test_every_rule_yields_boolean_sequents():
-    gen = TermGen(seed=99, evals=True)
+    gen = TermGen(seed=99, evals=True, holes=True)
     rules = [
         lambda: REFL(gen.term(depth=2)),
         lambda: ASSUME(gen.term(bool_ty(), depth=2)),
         lambda: BETA(_beta_redex(gen)),
         lambda: LAW_OF_QUO(Quotation(gen.eval_free(depth=2))),
         lambda: QUO_STEP(Quotation(gen.eval_free(depth=2))),
+        # a naked hole, which no sequent may hold
+        lambda: REFL(Hole(Quotation(gen.eval_free(depth=1)), gen.type(1))),
     ]
     made = 0
-    for i in range(200):
+    for i in range(240):
         rule = rules[i % len(rules)]
         try:
             th = rule()
         except KernelError:
             continue
         made += 1
-        assert th.concl.ty == bool_ty()
-        assert all(h.ty == bool_ty() for h in th.hyps)
+        for t in (th.concl, *th.hyps):
+            assert t.ty == bool_ty() and not t.has_naked_hole
     assert made > 100
 
 

@@ -294,6 +294,8 @@ def test_mp_conj_disj():
     assert CONJUNCT2(both).concl == q
     assert DISJ1(ASSUME(p), q).concl == mk_disj(p, q)
     assert DISJ2(p, ASSUME(q)).concl == mk_disj(p, q)
+    with pytest.raises(WrongShape, match="antecedent"):
+        MP(imp, ASSUME(q))
 
 
 def test_disch_undisch():
@@ -313,6 +315,8 @@ def test_disj_cases():
     out = DISJ_CASES(d, case, case)
     assert out.concl == r
     assert mk_disj(p, q) in out.hyps
+    with pytest.raises(WrongShape, match="case conclusions differ"):
+        DISJ_CASES(d, case, ASSUME(p))
 
 
 def test_not_intro_elim():
@@ -322,6 +326,16 @@ def test_not_intro_elim():
     assert n.concl == mk_neg(p)
     back = NOT_ELIM(n)
     assert back.concl == mk_imp(p, F)
+    # an implication into anything but F: EQ_MP refuses the unfolding
+    with pytest.raises(WrongShape, match="left side does not match"):
+        NOT_INTRO(ASSUME(mk_imp(p, T)))
+
+
+def test_a_missing_support_theorem_is_a_kernel_error():
+    # the current session's basis is its own copy of the template's
+    del session.current().basis["not_eq"]
+    with pytest.raises(KernelError, match="bootstrap incomplete"):
+        NOT_ELIM(ASSUME(mk_neg(T)))
 
 
 # ---------------------------------------------------------------------------
@@ -653,6 +667,8 @@ def test_is_expr_type_conv_guards():
             ),
             type_to_construction(bool_ty()),
         )
+    with pytest.raises(ContainsHole):
+        IS_EXPR_TYPE_CONV(Hole(Quotation(T), epsilon_ty()), type_to_construction(bool_ty()))
 
 
 def test_is_free_in_conv():
@@ -677,7 +693,7 @@ def test_eval_conv_computes_denotations():
     th2 = EVAL_CONV(Evaluation(Quotation(x), bool_ty()))
     assert th2.concl == mk_eq(Evaluation(Quotation(x), bool_ty()), x)
     # the stated type must be the denoted term's type
-    with pytest.raises((IllTyped, KernelError)):
+    with pytest.raises(TypeMismatch, match="not the stated"):
         EVAL_CONV(Evaluation(Quotation(T), num_ty()))
 
 

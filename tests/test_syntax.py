@@ -15,7 +15,7 @@ from cqe.errors import (
     NotEvalFree,
     UnknownName,
 )
-from cqe.frontend import _Meta, parse_term, parse_type, term_to_tree, tree_to_term
+from cqe.frontend import _lex, _Meta, parse_term, parse_type, term_to_tree, tree_to_term
 from cqe.kernel import new_constant, new_type_constructor
 from cqe.syntax import (
     Abstraction,
@@ -215,6 +215,54 @@ def test_hole_and_evaluation_content_must_be_epsilon():
         Evaluation(tv("p"), bool_ty())
     with pytest.raises(HoleOutsideQuotation):
         Evaluation(Hole(tv("c", epsilon_ty()), epsilon_ty()), bool_ty())
+    with pytest.raises(HoleOutsideQuotation):
+        Hole(Hole(tv("c", epsilon_ty()), epsilon_ty()), bool_ty())
+
+
+@pytest.mark.parametrize(
+    "build, kind",
+    [
+        (lambda: Variable("x", 5), "HolType"),
+        (lambda: Constant("cc", 5), "HolType"),
+        (lambda: Hole(Quotation(tv("p")), 7), "HolType"),
+        (lambda: Evaluation(Quotation(tv("p")), "junk"), "HolType"),
+        (lambda: Variable(5, bool_ty()), "str"),
+        (lambda: Application(5, tv("p")), "Term"),
+        (lambda: Abstraction(tv(), bool_ty()), "Term"),
+        (lambda: Quotation("p"), "Term"),
+    ],
+    ids=["variable", "constant", "hole", "evaluation", "name", "operator", "body", "quoted"],
+)
+def test_each_part_must_be_of_its_fields_kind(build, kind):
+    # 'a matches any type: only the part check refuses Constant("cc", 5)
+    new_constant("cc", TypeVariable("'a"))
+    Quotation(tv("p")), tv()  # the well-formed parts, built beforehand
+    size = len(session.current().terms)
+    with pytest.raises(IllTyped, match=f"part is not a {kind}"):
+        build()
+    assert len(session.current().terms) == size
+
+
+def test_a_node_takes_one_part_per_field():
+    with pytest.raises(TypeError, match="takes 2 parts"):
+        Variable("x")
+    with pytest.raises(TypeError, match="takes 1 parts"):
+        Quotation(tv(), tv())
+
+
+def test_a_constant_name_is_not_empty():
+    with pytest.raises(IllTyped, match="non-empty"):
+        Constant("", bool_ty())
+
+
+@pytest.mark.parametrize("word", syntax.KEYWORDS)
+def test_a_keyword_is_no_variable_name_and_lexes_as_itself(word):
+    with pytest.raises(IllTyped, match="not a variable name"):
+        Variable(word, bool_ty())
+    assert _lex(word)[0] == [word, "EOF"]
+    # one more identifier character makes an identifier
+    assert _lex(word + "x")[0] == ["IDENT", "EOF"]
+    assert Variable(word + "x", bool_ty()).name == word + "x"
 
 
 def test_quotation_body_type():
@@ -469,6 +517,11 @@ def test_alpha_hole_contents_follow_live_binders():
     # same skeleton, but the content is a different live variable
     t3 = Abstraction(c2, Quotation(Hole(c1, bool_ty())))
     assert not alpha_equivalent(t1, t3)
+
+
+def test_alpha_refuses_what_is_not_a_term():
+    with pytest.raises(TypeError, match="not a term"):
+        alpha_equivalent(1, 2)
 
 
 def test_alpha_is_reflexive_on_generated_terms():
