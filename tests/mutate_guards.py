@@ -16,15 +16,15 @@ unmutated suite fails; 0 otherwise.
 
 Run it from anywhere (stdlib only; pytest must be importable):
 
-    python tests/mutate_guards.py [--jobs N] [--timeout SECONDS]
+    python tests/mutate_guards.py
 
-It takes about ten minutes on two cores.  The checkout itself is never
+It runs one suite per CPU at a time, each for at most ``TIMEOUT`` seconds,
+and takes about ten minutes on two cores.  The checkout itself is never
 modified.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import os
 import shutil
@@ -43,6 +43,8 @@ ALLOWLIST = Path(__file__).resolve().parent / "mutate_guards_allowlist.txt"
 # benchmark tracer (a tracer test)
 COPIED = ("src", "tests", "bench", "README.md", "pyproject.toml")
 SUITE = ("-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors")
+TIMEOUT = 120  # seconds one suite run may take before it counts as a hang
+JOBS = os.cpu_count() or 1
 
 
 class Mutant:
@@ -128,7 +130,7 @@ def _copy_checkout(dest: Path) -> None:
             shutil.copy2(src, dest / name)
 
 
-def run_suite(mutant, timeout: float) -> str:
+def run_suite(mutant) -> str:
     """'killed', 'hang' or 'survived' for a mutant; for None, the unmutated
     suite, 'survived' means it passes."""
     with tempfile.TemporaryDirectory(prefix="cqe-mutant-") as tmp:
@@ -145,31 +147,24 @@ def run_suite(mutant, timeout: float) -> str:
                 env=env,
                 stdout=subprocess.DEVNULL,
                 stderr=subprocess.DEVNULL,
-                timeout=timeout,
+                timeout=TIMEOUT,
             )
         except subprocess.TimeoutExpired:
             return "hang"
         return "survived" if proc.returncode == 0 else "killed"
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                    help="parallel suite runs (at most the CPU count)")
-    ap.add_argument("--timeout", type=float, default=120.0,
-                    help="seconds one suite run may take before it counts as a hang")
-    args = ap.parse_args(argv)
-    jobs = max(1, min(args.jobs, os.cpu_count() or 1))
+def main() -> int:
     mutants = [m for module in MODULES for m in find_mutants(module)]
 
-    if run_suite(None, args.timeout) != "survived":
+    if run_suite(None) != "survived":
         print("the unmutated suite does not pass; nothing to audit", file=sys.stderr)
         return 1
 
     t0 = time.monotonic()
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=JOBS) as pool:
         verdicts = []
-        for m, v in zip(mutants, pool.map(lambda m: run_suite(m, args.timeout), mutants)):
+        for m, v in zip(mutants, pool.map(run_suite, mutants)):
             verdicts.append(v)
             print(f"{v:8} {m.name:45} {m.exc:28} {m.module}.py:{m.start}", flush=True)
     survivors = {m.name for m, v in zip(mutants, verdicts) if v == "survived"}
@@ -181,7 +176,7 @@ def main(argv=None) -> int:
         f"\n{len(mutants)} mutants, {len(mutants) - len(survivors)} killed "
         f"({verdicts.count('hang')} by timeout), {len(survivors)} survived, "
         f"{len(survivors) - len(unexpected)} of them allowlisted; "
-        f"{time.monotonic() - t0:.0f} s with {jobs} worker(s)"
+        f"{time.monotonic() - t0:.0f} s with {JOBS} worker(s)"
     )
     for name in unexpected:
         print(f"SURVIVED, not allowlisted: {name}")
