@@ -250,6 +250,8 @@ def _blocked_message(rule, e: SubstitutionBlocked) -> str:
 
 
 def _strip_comment(line: str) -> str:
+    if "#" not in line:
+        return line
     in_tick = False
     for i, c in enumerate(line):
         if c == "`":
@@ -405,14 +407,19 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _theorem_tree(name: str, th) -> tuple:
-    hyp_trees = sorted((term_to_tree(h) for h in th.hyps), key=tree_to_sexp)
+def _theorem_tree(name: str, th, trees: dict, texts: dict) -> tuple:
+    """The export tree of a theorem.  ``trees`` is the export's node -> tree
+    memo and ``texts`` this theorem's tree -> s-expression memo, which the
+    hypotheses' sort key fills for the theorem's own s-expression."""
+    hyp_trees = sorted(
+        (term_to_tree(h, trees) for h in th.hyps), key=lambda t: tree_to_sexp(t, texts)
+    )
     return (
         "theorem",
         name,
         ("text", print_theorem(th)),
         ("hyps",) + tuple(hyp_trees),
-        ("concl", term_to_tree(th.concl)),
+        ("concl", term_to_tree(th.concl, trees)),
         ("axioms",) + tuple(sorted(th.axioms)),
         ("trusted",) + tuple(sorted(th.trusted)),
     )
@@ -425,11 +432,13 @@ def _cmd_export(args) -> int:
     runner.run_text(text)
     s = session.current()
     lines = []
+    trees = {}  # each node's tree, built once per export
     for name in sorted(runner.defined):
+        texts = {}  # keyed by id: every tree here is kept alive by ``trees``
         try:
-            tree = _theorem_tree(name, s.theorems[name])
+            tree = _theorem_tree(name, s.theorems[name], trees, texts)
             lines.append(
-                tree_to_sexp(tree) if args.format == "sexp" else tree_to_json(tree)
+                tree_to_sexp(tree, texts) if args.format == "sexp" else tree_to_json(tree)
             )
         except (RecursionError, MemoryError) as e:
             line = runner.defined[name]

@@ -15,13 +15,15 @@ The surface language is a small HOL-style notation:
   on; string literals like ``"bool"`` are the names used by syntax
   constructors; numerals abbreviate ``SUC (SUC ... _0)`` on input only.
 
-One regular-expression scan lexes the input into parallel lists of token
-kinds, texts and offsets; ``line:col`` is worked out from an offset only
-for a message.  One reading pass then parses and elaborates together: a
-binding-power loop (Pratt, "Top down operator precedence", POPL 1973) reads
-one nesting level per frame, handling prefix forms, application and the
-infix connectives of ``_INFIX``, the table the printer also uses, and each
-form is elaborated into a plan as soon as it is read.  ``_build`` then
+``parse_term`` reads a text once per session and signature: the session
+keeps what it read (see ``parse_term``).  One regular-expression scan lexes
+the input into parallel lists of token kinds, texts and offsets; a keyword
+is an identifier found in a set, and ``line:col`` is worked out from an
+offset only for a message.  One reading pass then parses and elaborates
+together: a binding-power loop (Pratt, "Top down operator precedence",
+POPL 1973) reads one nesting level per frame, handling prefix forms,
+application and the infix connectives of ``_INFIX``, the table the printer
+also uses, and each form is elaborated into a plan as soon as it is read.  ``_build`` then
 makes the kernel term of the finished plan.
 
 Elaboration resolves identifier scoping and fills in types.  Its types are
@@ -37,6 +39,12 @@ built.  An elaboration error is held until the input has been read, so a
 syntax error anywhere in the text is reported first.  Anything left
 undetermined is an error rather than a guess.  ``print_term`` emits text
 that parses back to an equal term.
+
+The structure-tree codecs serialise terms for export and read them back.
+Terms are DAGs (hash-consing shares every repeated subterm), so the writers
+take memos: ``term_to_tree`` builds each node's tree once and
+``tree_to_sexp`` writes each tuple once.  ``tree_to_term`` reads each type
+tree and each variable or constant leaf once per call.
 """
 
 from __future__ import annotations
@@ -55,7 +63,8 @@ from .errors import (
 )
 from .syntax import (
     IDENT,
-    KEYWORD,
+    KEYWORDS,
+    OPERATORS,
     TYVAR,
     Abstraction,
     Application,
@@ -97,21 +106,21 @@ __all__ = [
 # lexer
 # ---------------------------------------------------------------------------
 
-# A token's kind is IDENT, TYVAR, NUMERAL, STRING or EOF, or for an
-# operator or keyword its own text.
+# One token and the blanks before it.  A token's kind is IDENT, TYVAR,
+# NUMERAL, STRING or EOF, or for an operator or keyword its own text; a
+# character that starts no token is a BAD token.
+_OP_TOKENS = ("==>", "->", "<=", "/\\", "\\/", "(", ")", ".", ":", "\\", "~", "=", "!", "?", "+", "*")
 _TOKEN_RE = re.compile(
-    rf"""\s*(?:
-        (?P<STRING>"[^"\n]*")
-      | (?P<TYVAR>{TYVAR})
-      | (?P<KW>{KEYWORD}(?![A-Za-z0-9_']))
-      | (?P<IDENT>{IDENT})
-      | (?P<NUMERAL>[0-9]+)
-      | (?P<OP>==>|->|<=|/\\|\\/|[()\.:\\~=!?+*])
-      | (?P<EOF>\Z)
-      | (?P<BAD>.)
-    )""",
-    re.VERBOSE,
+    rf'\s*(?:"[^"\n]*"|{TYVAR}|{IDENT}|[0-9]+|{"|".join(map(re.escape, _OP_TOKENS))}|\Z|.)'
 )
+# the kind of a token by its text: an operator, a keyword, the end, or a
+# lone quote (an unterminated string, or a quote that starts no type variable)
+_KIND = {tok: tok for tok in _OP_TOKENS + KEYWORDS}
+_KIND.update({"": "EOF", '"': "BAD", "'": "BAD"})
+# the kind of any other token by its first character
+_KIND_BY_FIRST = dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "IDENT")
+_KIND_BY_FIRST.update(dict.fromkeys("0123456789", "NUMERAL"))
+_KIND_BY_FIRST.update({'"': "STRING", "'": "TYVAR"})
 
 
 def _linecol(text: str, offset: int) -> tuple:
@@ -121,24 +130,23 @@ def _linecol(text: str, offset: int) -> tuple:
 
 def _lex(text: str) -> tuple:
     """Parallel lists (kinds, texts, offsets), ending with one EOF token."""
-    kinds, texts, starts = [], [], []
-    for m in _TOKEN_RE.finditer(text):
-        g = m.lastindex
-        kind = m.lastgroup
-        lexeme = m[g]
-        if kind == "OP" or kind == "KW":
-            kind = lexeme
-        elif kind == "BAD":
-            line, col = _linecol(text, m.start(g))
-            raise ParseError(
-                f"unexpected character {lexeme!r}",
-                SourceSpan(text, (line, col), (line, col + 1)),
-            )
-        kinds.append(kind)
-        texts.append(lexeme)
-        starts.append(m.start(g))
-        if kind == "EOF":
-            break
+    spans = _TOKEN_RE.findall(text)
+    if len(spans) > 1 and spans[-2].isspace():
+        del spans[-1]  # after trailing blanks and the end, the end again
+    texts = [span.lstrip() for span in spans]
+    kinds = [_KIND.get(tok) or _KIND_BY_FIRST.get(tok[0], "BAD") for tok in texts]
+    starts = []
+    end = 0
+    for span, tok in zip(spans, texts):
+        end += len(span)
+        starts.append(end - len(tok))
+    if "BAD" in kinds:
+        j = kinds.index("BAD")
+        line, col = _linecol(text, starts[j])
+        raise ParseError(
+            f"unexpected character {texts[j]!r}",
+            SourceSpan(text, (line, col), (line, col + 1)),
+        )
     return kinds, texts, starts
 
 
@@ -160,7 +168,7 @@ _INFIX = {
 }
 
 # Operator names that may appear as parenthesized atoms like (=) or (+).
-_OP_ATOMS = frozenset({"=", "==>", "/\\", "\\/", "~", "!", "?", "+", "*", "<="})
+_OP_ATOMS = frozenset(OPERATORS)
 
 _BINDERS = frozenset({"!", "?", "\\"})
 
@@ -265,14 +273,14 @@ def _zonk(t) -> HolType:
             raise _Unresolved
         t.ref = _zonk(t.ref)
         return t.ref
-    return TypeApplication(t.constructor, tuple(_zonk(a) for a in t.arguments))
+    return TypeApplication(t.constructor, tuple([_zonk(a) for a in t.arguments]))
 
 
 def _instance(ty: HolType, metas: dict):
     """``ty`` with each type variable replaced by its meta in ``metas``."""
     if type(ty) is TypeVariable:
         return metas[ty]
-    args = tuple(_instance(a, metas) for a in ty.arguments)
+    args = tuple([_instance(a, metas) for a in ty.arguments])
     return ty if args == ty.arguments else _Open(ty.constructor, args)
 
 
@@ -596,24 +604,35 @@ def parse_type(text: str) -> HolType:
 
 
 def parse_term(text: str) -> Term:
-    reader = _Reader(text)
-    plan = reader.term()
-    reader.expect_eof()
-    if reader.error is not None:
-        raise reader.error
-    try:
-        return _build(plan)
-    except _Unresolved:
-        raise ElaborationError(
-            "could not infer a unique type; add an annotation"
-        ) from None
+    """The term that ``text`` reads as in the active session.
+
+    A text read once is not read again: the session keeps each term read
+    under (text, number of constants, number of type constructors).  The
+    signature only grows, so that key fixes everything a read depends on.
+    A refused text is not kept and raises on every call.
+    """
+    s = session.current()
+    key = (text, len(s.constants), len(s.type_arities))
+    t = s.reads.get(key)
+    if t is None:
+        reader = _Reader(text)
+        plan = reader.term()
+        reader.expect_eof()
+        if reader.error is not None:
+            raise reader.error
+        try:
+            t = _build(plan)
+        except _Unresolved:
+            raise ElaborationError(
+                "could not infer a unique type; add an annotation"
+            ) from None
+        s.reads[key] = t
+    return t
 
 
 # ---------------------------------------------------------------------------
 # printer
 # ---------------------------------------------------------------------------
-
-_SYMBOLIC = frozenset(_OP_ATOMS)
 
 
 def print_type(ty: HolType) -> str:
@@ -656,7 +675,7 @@ def _print(t: Term, req: int, env: tuple, live) -> str:
 def _const_atom(t: Constant) -> str:
     if _is_name_literal(t.name):
         return t.name
-    base = "(" + t.name + ")" if t.name in _SYMBOLIC else t.name
+    base = "(" + t.name + ")" if t.name in _OP_ATOMS else t.name
     generic = session.current().constants.get(t.name)
     if generic is not None and type_variables_in(generic):
         return base + _tyann(t.ty)
@@ -760,74 +779,119 @@ _TREE_NODES = {
 _TREE_TAG = {cls: tag for tag, (cls, _) in _TREE_NODES.items()}
 
 
-def term_to_tree(t: Term):
-    out = [_TREE_TAG[type(t)]]
-    for p in t._parts:
-        if isinstance(p, Term):
-            out.append(term_to_tree(p))
-        elif isinstance(p, HolType):
-            out.append(type_to_tree(p))
-        else:
-            out.append(p)
-    return tuple(out)
+def term_to_tree(t: Term, memo=None):
+    """The structure tree of ``t``.  ``memo`` maps each node, term or type,
+    to its tree; calls that share one build a shared node's tree once."""
+    if memo is None:
+        memo = {}
+    tree = memo.get(t)
+    if tree is None:
+        out = [_TREE_TAG[type(t)]]
+        for p in t._parts:
+            if isinstance(p, Term):
+                out.append(term_to_tree(p, memo))
+            elif isinstance(p, HolType):
+                ty = memo.get(p)
+                if ty is None:
+                    ty = memo[p] = type_to_tree(p)
+                out.append(ty)
+            else:
+                out.append(p)
+        tree = memo[t] = tuple(out)
+    return tree
 
 
 def tree_to_term(tree) -> Term:
+    """The term of a structure tree.  Within one call, each type tree and
+    each variable or constant leaf is read once, keyed by its value."""
+    return _tree_to_term(tree, {})
+
+
+def _tree_to_term(tree, memo) -> Term:
     try:
-        cls, kinds = _TREE_NODES[tree[0]]
+        tag = tree[0]
+        leaf = tag == "var" or tag == "const"
+        if leaf:
+            t = memo.get(tree)
+            if t is not None:
+                return t
+        cls, kinds = _TREE_NODES[tag]
         parts = []
         for kind, sub in zip(kinds, tree[1:], strict=True):
             if kind is HolType:
-                parts.append(tree_to_type(sub))
+                ty = memo.get(sub)
+                if ty is None:
+                    ty = memo[sub] = tree_to_type(sub)
+                parts.append(ty)
             elif kind is str:
                 parts.append(sub)
             else:
-                part = tree_to_term(sub)
+                part = _tree_to_term(sub, memo)
                 if not isinstance(part, kind):
-                    raise ParseError(f"{tree[0]} tree: expected a {kind.__name__}")
+                    raise ParseError(f"{tag} tree: expected a {kind.__name__}")
                 parts.append(part)
-        return cls(*parts)
+        t = cls(*parts)
+        if leaf:
+            memo[tree] = t
+        return t
     except (ValueError, TypeError, IndexError, KeyError):
         raise ParseError(f"malformed term tree: {tree!r}") from None
 
 
-def tree_to_sexp(tree) -> str:
+def tree_to_sexp(tree, memo=None) -> str:
+    """The s-expression of a tree.  ``memo`` maps ``id(tree)`` to the text of
+    each tuple already written, so a shared subtree is written once; calls
+    that share one must keep every tree they pass alive while it is used."""
     if isinstance(tree, str):
         return '"' + tree.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    return "(" + " ".join(tree_to_sexp(x) for x in tree) + ")"
+    if memo is None:
+        memo = {}
+    text = memo.get(id(tree))
+    if text is None:
+        parts = []
+        for x in tree:
+            if type(x) is str:
+                parts.append('"' + x.replace("\\", "\\\\").replace('"', '\\"') + '"')
+            else:
+                parts.append(tree_to_sexp(x, memo))
+        text = memo[id(tree)] = "(" + " ".join(parts) + ")"
+    return text
 
 
-# one s-expression token, by group: an open or a close parenthesis, a string
-# (its text still escaped), an unterminated string, or any other character
-_SEXP_TOKEN = re.compile(r'''\s*(?:(\()|(\))|"([^"\\]*(?:\\.[^"\\]*)*)"|(")|(\S))''', re.S)
+# one s-expression token: a parenthesis, a string with its quotes (its text
+# still escaped), or any other character, such as the quote of an
+# unterminated string
+_SEXP_TOKEN = re.compile(r'''\s*(\(|\)|"[^"\\]*(?:\\.[^"\\]*)*"|\S)''', re.S)
 _SEXP_ESCAPE = re.compile(r"\\(.)", re.S)
 
 
 def sexp_to_tree(text: str):
-    stack = [[]]  # the items of each open list, outermost first
-    for m in _SEXP_TOKEN.finditer(text):
-        group = m.lastindex
-        if group == 1:
-            stack.append([])
-        elif group == 2:
-            if len(stack) == 1:
+    items = []  # the items of the innermost open list
+    outer = []  # the items of each enclosing open list, outermost first
+    for tok in _SEXP_TOKEN.findall(text):
+        if tok == "(":
+            outer.append(items)
+            items = []
+        elif tok == ")":
+            if not outer:
                 raise ParseError("unbalanced ')' in s-expression")
-            items = stack.pop()
-            stack[-1].append(tuple(items))
-        elif group == 3:
-            atom = m[3]
-            stack[-1].append(_SEXP_ESCAPE.sub(r"\1", atom) if "\\" in atom else atom)
-        elif group == 4:
+            done = tuple(items)
+            items = outer.pop()
+            items.append(done)
+        elif tok[0] == '"' and len(tok) > 1:
+            atom = tok[1:-1]
+            items.append(_SEXP_ESCAPE.sub(r"\1", atom) if "\\" in atom else atom)
+        elif tok == '"':
             raise ParseError("unterminated string in s-expression")
         else:
-            raise ParseError(f"unexpected character {m[5]!r} in s-expression")
-    if len(stack) > 1:
+            raise ParseError(f"unexpected character {tok!r} in s-expression")
+    if outer:
         raise ParseError("unbalanced parentheses in s-expression")
-    if not stack[0]:
+    if not items:
         raise ParseError("unexpected end of s-expression")
-    if len(stack[0]) > 1:
+    if len(items) > 1:
         raise ParseError("trailing input after s-expression")
-    return stack[0][0]
+    return items[0]
 
 
 def tree_to_json(tree) -> str:
@@ -835,15 +899,19 @@ def tree_to_json(tree) -> str:
 
 
 def json_to_tree(text: str):
-    def tupleize(x):
-        if isinstance(x, list):
-            return tuple(tupleize(e) for e in x)
-        if isinstance(x, str):
-            return x
-        raise ParseError("json tree must contain only lists and strings")
+    def tupleize(items):
+        out = []
+        for x in items:
+            if type(x) is list:
+                out.append(tupleize(x))
+            elif type(x) is str:
+                out.append(x)
+            else:
+                raise ParseError("json tree must contain only lists and strings")
+        return tuple(out)
 
     try:
         data = json.loads(text)
     except ValueError as e:
         raise ParseError(f"bad json: {e}") from None
-    return tupleize(data)
+    return tupleize([data])[0]

@@ -78,6 +78,7 @@ from .syntax import (
     Hole,
     Quotation,
     Term,
+    TypeApplication,
     TypeVariable,
     Variable,
     _frees,
@@ -86,6 +87,7 @@ from .syntax import (
     bool_ty,
     epsilon_ty,
     fresh_variant,
+    is_constant_name,
     map_holes,
     map_parts,
     mk_fun,
@@ -359,8 +361,16 @@ def _vsubst(t: Term, theta: dict, registry, used) -> Term:
     if t.eval_free and theta.keys().isdisjoint(t._fv):
         return t
     if isinstance(t, Application):
-        fn = _vsubst(t.fn, theta, registry, used)
-        arg = _vsubst(t.arg, theta, registry, used)
+        # the same tests, made on each part before recursing into it
+        fn, arg = t.fn, t.arg
+        if type(fn) is Variable:
+            fn = theta.get(fn, fn)
+        elif not (fn.eval_free and theta.keys().isdisjoint(fn._fv)):
+            fn = _vsubst(fn, theta, registry, used)
+        if type(arg) is Variable:
+            arg = theta.get(arg, arg)
+        elif not (arg.eval_free and theta.keys().isdisjoint(arg._fv)):
+            arg = _vsubst(arg, theta, registry, used)
         return t if fn is t.fn and arg is t.arg else Application(fn, arg)
     if isinstance(t, Abstraction):
         return _vsubst_abs(t, theta, registry, used)
@@ -802,11 +812,17 @@ def new_type_constructor(name: str, arity: int) -> None:
 
 
 def new_constant(name: str, ty: HolType) -> Constant:
+    """Declare a constant of generic type ``ty``.  The name and the type are
+    checked before the signature changes, so a refusal leaves none behind."""
     s = session.current()
-    if name.startswith('"'):
+    if isinstance(name, str) and name.startswith('"'):
         raise DuplicateName("names starting with a quote are reserved for literals")
+    if not is_constant_name(name):
+        raise IllTyped(f"not a constant name (an identifier or an operator): {name!r}")
     if name in s.constants:
         raise DuplicateName(f"constant already registered: {name!r}")
+    if type(ty) not in (TypeApplication, TypeVariable) or not _interned(ty):
+        raise IllTyped(f"not a type of this session: {ty!r}")
     s.constants[name] = ty
     return Constant(name, ty)
 

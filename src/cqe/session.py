@@ -3,19 +3,24 @@
 A session owns the type-constructor arity table, the constant signature, the
 named axioms and definitions, user-named theorems, the support theorems the
 derived rules instantiate, the registry of proved not-effective facts
-that the substitution discipline consults, and the intern tables of the
-types and terms formed while it is active (see ``syntax``).
+that the substitution discipline consults, the intern tables of the
+types and terms formed while it is active (see ``syntax``), and the
+reader's memo of the terms it has read (see ``frontend.parse_term``).
+Each session has its own ``serial``, which ``syntax`` stamps on every node
+formed while the session is active.
 
 The initial session is built once per process (the bootstrap installs the
 syntax-reflection constants, the logical connectives and their support
 theorems, the datatype facts, and the arithmetic signature) and then cloned,
 so ``reset()`` is cheap and tests are isolated.  A clone starts with the
 template's intern tables, so a node formed by the bootstrap is one object in
-every session.
+every session.  ``reset()`` is the only caller of ``copy()``, so a session's
+tables hold exactly the nodes stamped with its own serial or the template's.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 _BASE_ARITIES = {
@@ -26,6 +31,8 @@ _BASE_ARITIES = {
     "num": 0,
     "fun": 2,
 }
+
+_serials = itertools.count()
 
 
 @dataclass
@@ -40,13 +47,21 @@ class Session:
     # the intern tables of syntax: structure key -> the one node formed
     terms: dict = field(default_factory=dict, repr=False)
     types: dict = field(default_factory=dict, repr=False)
+    # parse_term's memo: (text, len(constants), len(type_arities)) -> term
+    reads: dict = field(default_factory=dict, repr=False)
+    serial: int = field(default_factory=_serials.__next__, repr=False)
 
     def copy(self) -> "Session":
-        return Session(**{name: dict(table) for name, table in vars(self).items()})
+        """A new session, with its own serial, starting from these tables."""
+        return Session(
+            **{name: dict(table) for name, table in vars(self).items() if name != "serial"}
+        )
 
 
 _current = None
 _template = None
+# the template's serial once it is built; syntax compares node serials with it
+template_serial = None
 
 
 def current() -> Session:
@@ -70,7 +85,7 @@ def reset() -> Session:
 
 
 def _build_template() -> Session:
-    global _template, _current
+    global _template, _current, template_serial
     if _template is None:
         s = Session()
         s.type_arities.update(_BASE_ARITIES)
@@ -81,6 +96,7 @@ def _build_template() -> Session:
         try:
             _populate(s)
             _template = s
+            template_serial = s.serial
         finally:
             _current = prev
     return _template

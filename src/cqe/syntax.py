@@ -3,7 +3,8 @@
 Types and terms are hash-consed (Filliâtre & Conchon, "Type-Safe Modular
 Hash-Consing", 2006) in the active session's ``types`` and ``terms``
 tables: a constructor returns the one object already built for the
-structure, so ``==`` on types and on terms is identity.  Every formation
+structure, so ``==`` and ``hash`` on types and on terms are the object's
+identity and its address, and a table key hashes in C.  Every formation
 check, the arity check of a type and the signature check of a constant
 included, runs once, on the table miss that builds the node.  A hit needs
 none: a session's signature only grows (redeclaration is refused), and
@@ -15,14 +16,21 @@ A node lives until its session is reset (``cqe repl`` never resets, so it
 keeps every node it builds).  Template nodes are shared by every session.
 A node kept from a discarded session is not ``is`` the same structure
 formed anew, yet would print and read back as it, so formation refuses it
-as a part and the kernel as a conclusion (``_interned``).
+as a part and the kernel as a conclusion (``_interned``).  Each node is
+stamped with the ``serial`` of the session it was formed in.  A session's
+tables hold exactly the nodes formed in it or in the template, whose
+tables every session starts from, so the guard compares two integers and
+looks nothing up.  A node holds no reference to a session or a table.
 
-Terms are immutable.  A new node validates its own formation conditions
-once: ``Term.__new__`` checks that each part is of its field's kind (a type
-part a ``HolType``, a term part a ``Term``) and the active session's node,
-and the class's ``__post_init__`` checks the rest, so a constructed Term is
-well-typed by construction.  Three node kinds go beyond the simply typed
-lambda calculus:
+Terms are immutable.  A constructor looks the active session up once; on a
+table miss the new node's class validates its formation conditions once,
+in ``__post_init__``: that each part is of its kind (a type part a
+``HolType``, a term part a ``Term``) and formed in the active session or
+the template (``_want``), then the rest, so a constructed Term is
+well-typed by construction.  It then fills the node's fields and caches in
+one ``__dict__.update``; flags that are the same for every node of a class
+are class attributes.  Three node kinds go beyond the simply typed lambda
+calculus:
 
 * ``Quotation`` wraps a term and denotes that term's syntax tree.  Its body
   must not contain an evaluation except inside a hole — quoting a term whose
@@ -74,41 +82,49 @@ class HolType:
 
     __slots__ = ()
 
-    def __hash__(self):
-        return self._hash
-
     def __setattr__(self, name, value):
         raise AttributeError("types are immutable")
 
 
 # The surface shapes of names, stated once: the lexer (frontend._TOKEN_RE)
-# builds its IDENT, TYVAR and keyword groups from these, and formation
-# refuses a variable or type-variable name the lexer would not read back.
+# builds its IDENT and TYVAR groups and its keyword set from these, and the
+# reader takes each of OPERATORS, written (=) and so on, as a constant name.
+# Formation refuses a variable or type-variable name the lexer would not read
+# back, and kernel.new_constant a constant name (is_constant_name).
 IDENT = r"[A-Za-z_][A-Za-z0-9_']*"
 TYVAR = r"'[A-Za-z_][A-Za-z0-9_]*"
 KEYWORDS = ("eval", "to", "Q_", "_Q", "H_", "_H")
 KEYWORD = "(?:" + "|".join(KEYWORDS) + ")"
+OPERATORS = ("=", "==>", "/\\", "\\/", "~", "!", "?", "+", "*", "<=")
 _TYVAR_NAME = re.compile(TYVAR)
 _VAR_NAME = re.compile(rf"(?!{KEYWORD}\Z){IDENT}")
 
 
+def is_constant_name(name) -> bool:
+    """Whether the reader reads ``name`` as a constant's name: an identifier
+    that is not a keyword, or an operator."""
+    if not isinstance(name, str):
+        return False
+    return name in OPERATORS or _VAR_NAME.fullmatch(name) is not None
+
+
 class TypeVariable(HolType):
     # _tyvars is None: the set would hold the type variable itself
-    __slots__ = ("name", "_hash", "_tyvars")
+    __slots__ = ("name", "_tyvars", "_serial")
 
     def __new__(cls, name):
         # the key is the name, a str; a TypeApplication's key is a tuple
-        table = session.current().types
-        ty = table.get(name) if type(name) is str else None
+        s = session._current or session.current()
+        ty = s.types.get(name) if type(name) is str else None
         if ty is None:
             # the name must print as the lexer's type-variable token reads it
             if not isinstance(name, str) or not _TYVAR_NAME.fullmatch(name):
                 raise IllTyped(f"not a type variable name (' and an identifier): {name!r}")
             ty = object.__new__(cls)
             object.__setattr__(ty, "name", name)
-            object.__setattr__(ty, "_hash", hash(name))
             object.__setattr__(ty, "_tyvars", None)
-            table[name] = ty
+            object.__setattr__(ty, "_serial", s.serial)
+            s.types[name] = ty
         return ty
 
     def __reduce__(self):
@@ -119,29 +135,31 @@ class TypeVariable(HolType):
 
 
 class TypeApplication(HolType):
-    __slots__ = ("constructor", "arguments", "_hash", "_tyvars")
+    __slots__ = ("constructor", "arguments", "_tyvars", "_serial")
 
     def __new__(cls, constructor, arguments=()):
         if type(arguments) is not tuple:
             arguments = tuple(arguments)
         key = (constructor, arguments)
-        table = session.current().types
+        s = session._current or session.current()
         try:
-            ty = table.get(key)
+            ty = s.types.get(key)
         except TypeError:  # an unhashable part: formation below refuses it
             ty = None
         if ty is None:
             ty = object.__new__(TypeApplication)
             object.__setattr__(ty, "constructor", constructor)
             object.__setattr__(ty, "arguments", arguments)
+            object.__setattr__(ty, "_serial", s.serial)
             ty.__post_init__()
-            table[key] = ty
+            s.types[key] = ty
         return ty
 
     def __post_init__(self):
-        # runs once per node built, never on a table hit
+        # runs once per node built, never on a table hit; __new__ has made
+        # the session current
         try:
-            arity = session.current().type_arities.get(self.constructor)
+            arity = session._current.type_arities.get(self.constructor)
         except TypeError:  # an unhashable name names no constructor
             arity = None
         if arity is None:
@@ -153,10 +171,9 @@ class TypeApplication(HolType):
             )
         tyvars = frozenset()
         for a in self.arguments:
-            if type(a) not in (TypeApplication, TypeVariable) or not _interned(a):
+            if type(a) not in (TypeApplication, TypeVariable) or not _formed_in(a, self._serial):
                 raise IllTyped(f"type argument not a type or from another session: {a!r}")
             tyvars = _union(tyvars, type_variables_in(a))
-        object.__setattr__(self, "_hash", hash((self.constructor, self.arguments)))
         object.__setattr__(self, "_tyvars", tyvars)
 
     def __reduce__(self):
@@ -246,15 +263,15 @@ class Term:
     """Base class of the seven node kinds; interned in the active session's
     ``terms`` table, see the module docstring.
 
-    ``Cls(*parts)`` takes the parts in the order of ``Cls._fields``, which
-    maps each field to the kind its part must be, and keeps them as the
+    ``Cls(*parts)`` takes the parts in the order of ``Cls._fields``, the
+    names under which the node also keeps them, and keeps them as the
     node's ``_parts`` tuple.
     """
 
     __slots__ = ()
-    _fields: dict = {}
+    _fields: tuple = ()
 
-    # Caches set by each subclass's __post_init__:
+    # Caches set by each subclass's __post_init__, or fixed for the class:
     #   ty               -- the term's type (a field on Variable/Constant)
     #   eval_free        -- no Evaluation anywhere, including hole contents
     #   ef_outside_holes -- no Evaluation outside hole contents
@@ -263,28 +280,25 @@ class Term:
     #   _fv              -- the syntactic free-variable set; None on a
     #                       Variable, whose set would hold the Variable
     #                       itself, a cycle only the garbage collector frees
+    # and by __new__:
+    #   _serial          -- the serial of the session the node was formed in
 
     def __new__(cls, *parts):
         key = (cls, parts)
-        table = session.current().terms
+        s = session._current or session.current()  # the call only before any reset
         try:
-            t = table.get(key)
+            t = s.terms.get(key)
         except TypeError:  # an unhashable part: formation below refuses it
             t = None
         if t is None:
             if len(parts) != len(cls._fields):
                 raise TypeError(f"{cls.__name__} takes {len(cls._fields)} parts")
-            for p, kind in zip(parts, cls._fields.values()):
-                if not isinstance(p, kind):
-                    raise IllTyped(f"{cls.__name__} part is not a {kind.__name__}: {p!r}")
-                if isinstance(p, (Term, HolType)) and not _interned(p):
-                    raise IllTyped(f"part formed in another session: {p!r}")
             t = object.__new__(cls)
             d = t.__dict__
-            d.update(zip(cls._fields, parts))
             d["_parts"] = parts
+            d["_serial"] = s.serial
             t.__post_init__()
-            table[key] = t
+            s.terms[key] = t
         return t
 
     def __setattr__(self, name, value):
@@ -301,23 +315,28 @@ class Term:
         except Exception:
             return f"<{type(self).__name__}>"
 
-    def _seal(self, ty, eval_free, ef_outside_holes, has_hole, has_naked_hole, fv):
-        d = self.__dict__
-        d["ty"] = ty
-        d["eval_free"] = eval_free
-        d["ef_outside_holes"] = ef_outside_holes
-        d["has_hole"] = has_hole
-        d["has_naked_hole"] = has_naked_hole
-        d["_fv"] = fv
+
+_NO_FREES = frozenset()
+
+
+def _formed_in(node, serial) -> bool:
+    """Whether ``node`` was formed in the session of ``serial`` or in the
+    template: exactly the nodes that session's tables hold."""
+    return node._serial == serial or node._serial == session.template_serial
 
 
 def _interned(node) -> bool:
     """Whether ``node`` is the active session's node for its structure."""
-    s = session.current()
-    if isinstance(node, Term):
-        return s.terms.get((type(node), node._parts)) is node
-    key = node.name if type(node) is TypeVariable else (node.constructor, node.arguments)
-    return s.types.get(key) is node
+    return _formed_in(node, session.current().serial)
+
+
+def _want(node: Term, part, kind) -> None:
+    """Refuse a part of ``node`` that is not a ``kind``, or that is a term or
+    type not formed in ``node``'s session, the active one, or the template."""
+    if not isinstance(part, kind):
+        raise IllTyped(f"{type(node).__name__} part is not a {kind.__name__}: {part!r}")
+    if kind is not str and not _formed_in(part, node._serial):
+        raise IllTyped(f"part formed in another session: {part!r}")
 
 
 def _is_name_literal(name: str) -> bool:
@@ -325,118 +344,156 @@ def _is_name_literal(name: str) -> bool:
 
 
 class Variable(Term):
-    _fields = {"name": str, "ty": HolType}
+    _fields = ("name", "ty")
+    eval_free = ef_outside_holes = True
+    has_hole = has_naked_hole = False
+    _fv = None
 
     def __post_init__(self):
+        name, ty = self._parts
+        _want(self, name, str)
+        _want(self, ty, HolType)
         # the name must print as the lexer's identifier token reads it
-        if not _VAR_NAME.fullmatch(self.name):
-            raise IllTyped(f"not a variable name (an identifier, not a keyword): {self.name!r}")
-        self._seal(self.ty, True, True, False, False, None)
+        if not _VAR_NAME.fullmatch(name):
+            raise IllTyped(f"not a variable name (an identifier, not a keyword): {name!r}")
+        self.__dict__.update(name=name, ty=ty)
 
 
 class Constant(Term):
-    _fields = {"name": str, "ty": HolType}
+    _fields = ("name", "ty")
+    eval_free = ef_outside_holes = True
+    has_hole = has_naked_hole = False
+    _fv = _NO_FREES
 
     def __post_init__(self):
-        if not self.name:
+        name, ty = self._parts
+        _want(self, name, str)
+        _want(self, ty, HolType)
+        if not name:
             raise IllTyped("constant name must be non-empty")
-        if _is_name_literal(self.name):
+        if _is_name_literal(name):
             # A name literal like "bool" denotes itself; its type is fixed.
-            if self.ty != str_ty():
-                raise IllTyped(f"name literal {self.name} must have type str")
+            if ty != str_ty():
+                raise IllTyped(f"name literal {name} must have type str")
         else:
-            generic = session.current().constants.get(self.name)
+            # __new__ has made the session current
+            generic = session._current.constants.get(name)
             if generic is None:
-                raise UnknownName(f"unknown constant: {self.name!r}")
-            if self.ty is not generic and not match_type(generic, self.ty, {}):
+                raise UnknownName(f"unknown constant: {name!r}")
+            if ty is not generic and not match_type(generic, ty, {}):
                 raise IllTyped(
-                    f"constant {self.name!r} at type {self.ty!r} is not an "
+                    f"constant {name!r} at type {ty!r} is not an "
                     f"instance of its generic type {generic!r}"
                 )
-        self._seal(self.ty, True, True, False, False, _NO_FREES)
+        self.__dict__.update(name=name, ty=ty)
 
 
 class Application(Term):
-    _fields = {"fn": Term, "arg": Term}
+    _fields = ("fn", "arg")
 
     def __post_init__(self):
-        fty = self.fn.ty
+        fn, arg = self._parts
+        _want(self, fn, Term)
+        _want(self, arg, Term)
+        fty = fn.ty
         if not is_fun(fty):
             raise IllTyped(f"operator is not function-typed: {fty!r}")
         dom, cod = fty.arguments
-        if dom != self.arg.ty:
+        if dom != arg.ty:
             raise IllTyped(
-                f"operand type {self.arg.ty!r} does not match operator domain {dom!r}"
+                f"operand type {arg.ty!r} does not match operator domain {dom!r}"
             )
-        self._seal(
-            cod,
-            self.fn.eval_free and self.arg.eval_free,
-            self.fn.ef_outside_holes and self.arg.ef_outside_holes,
-            self.fn.has_hole or self.arg.has_hole,
-            self.fn.has_naked_hole or self.arg.has_naked_hole,
-            _union(_frees(self.fn), _frees(self.arg)),
+        self.__dict__.update(
+            fn=fn,
+            arg=arg,
+            ty=cod,
+            eval_free=fn.eval_free and arg.eval_free,
+            ef_outside_holes=fn.ef_outside_holes and arg.ef_outside_holes,
+            has_hole=fn.has_hole or arg.has_hole,
+            has_naked_hole=fn.has_naked_hole or arg.has_naked_hole,
+            _fv=_union(_frees(fn), _frees(arg)),
         )
 
 
 class Abstraction(Term):
-    # any binder part: __post_init__ refuses a non-variable as NotAVariable
-    _fields = {"var": object, "body": Term}
+    _fields = ("var", "body")
 
     def __post_init__(self):
-        if not isinstance(self.var, Variable):
+        var, body = self._parts
+        _want(self, body, Term)
+        if not isinstance(var, Variable):
             raise NotAVariable("abstraction binder must be a Variable")
-        fv = _frees(self.body)
-        if self.var in fv:
-            fv = fv - frozenset((self.var,))
-        self._seal(
-            mk_fun(self.var.ty, self.body.ty),
-            self.body.eval_free,
-            self.body.ef_outside_holes,
-            self.body.has_hole,
-            self.body.has_naked_hole,
-            fv,
+        _want(self, var, Variable)  # formed in this session
+        fv = _frees(body)
+        if var in fv:
+            fv = fv - frozenset((var,))
+        self.__dict__.update(
+            var=var,
+            body=body,
+            ty=mk_fun(var.ty, body.ty),
+            eval_free=body.eval_free,
+            ef_outside_holes=body.ef_outside_holes,
+            has_hole=body.has_hole,
+            has_naked_hole=body.has_naked_hole,
+            _fv=fv,
         )
 
 
 class Quotation(Term):
-    _fields = {"body": Term}
+    _fields = ("body",)
+    ef_outside_holes = True
+    has_naked_hole = False
 
     def __post_init__(self):
-        if not self.body.ef_outside_holes:
+        (body,) = self._parts
+        _want(self, body, Term)
+        if not body.ef_outside_holes:
             raise NotEvalFree(
                 "cannot quote a term containing an evaluation outside holes"
             )
         # quoted binders bind nothing in hole contents: nothing is subtracted
         fv = _NO_FREES
-        for h in holes(self.body):
+        for h in holes(body):
             fv = _union(fv, _frees(h))
-        self._seal(epsilon_ty(), self.body.eval_free, True, self.body.has_hole, False, fv)
+        self.__dict__.update(
+            body=body, ty=epsilon_ty(), eval_free=body.eval_free, has_hole=body.has_hole, _fv=fv
+        )
 
 
 class Hole(Term):
-    _fields = {"content": Term, "slot_type": HolType}
+    _fields = ("content", "slot_type")
+    ef_outside_holes = has_hole = has_naked_hole = True
 
     def __post_init__(self):
-        c = self.content
+        c, slot_type = self._parts
+        _want(self, c, Term)
+        _want(self, slot_type, HolType)
         if c.ty != epsilon_ty():
             raise IllTyped("hole content must have type epsilon")
         if c.has_naked_hole:
             raise HoleOutsideQuotation("hole content contains a hole of its own")
-        self._seal(self.slot_type, c.eval_free, True, True, True, _frees(c))
+        self.__dict__.update(
+            content=c, slot_type=slot_type, ty=slot_type, eval_free=c.eval_free, _fv=_frees(c)
+        )
 
 
 class Evaluation(Term):
-    _fields = {"content": Term, "result_type": HolType}
+    _fields = ("content", "result_type")
+    eval_free = ef_outside_holes = has_naked_hole = False
 
     def __post_init__(self):
-        c = self.content
+        c, result_type = self._parts
+        _want(self, c, Term)
+        _want(self, result_type, HolType)
         if c.ty != epsilon_ty():
             raise IllTyped("evaluation content must have type epsilon")
         if c.has_naked_hole:
             raise HoleOutsideQuotation(
                 "evaluation content contains a hole outside any quotation"
             )
-        self._seal(self.result_type, False, False, c.has_hole, False, _frees(c))
+        self.__dict__.update(
+            content=c, result_type=result_type, ty=result_type, has_hole=c.has_hole, _fv=_frees(c)
+        )
 
 
 def subterms(t: Term) -> list:
@@ -501,8 +558,6 @@ def map_holes(body: Term, fn, *args) -> Term:
 # free variables
 # ---------------------------------------------------------------------------
 
-
-_NO_FREES = frozenset()
 
 
 def _union(a: frozenset, b: frozenset) -> frozenset:

@@ -1,0 +1,465 @@
+"""Formation, the reader, substitution and the export codec against the code
+their fast paths replaced.
+
+The reference oracles below are that code: the lexer's loop over one
+regular-expression match per token, with a group for keywords; the
+foreign-node guard ``syntax._interned`` as an intern-table lookup;
+``kernel._vsubst`` recursing into every part of an application; the
+s-expression reader over match objects; and ``cli._strip_comment``'s
+character loop.  The tests compare each with its replacement, and pin what
+the session's read memo must keep: an entry never outlives the signature
+it was read under, nor its session.
+"""
+
+import json
+import random
+import re
+from pathlib import Path
+
+import pytest
+
+from cqe import cli, kernel, session
+from cqe.errors import CqeError, ElaborationError, IllTyped, KernelError, ParseError, SourceSpan
+from cqe.frontend import (
+    _lex,
+    _linecol,
+    json_to_tree,
+    parse_term,
+    print_term,
+    print_type,
+    sexp_to_tree,
+    term_to_tree,
+    tree_to_sexp,
+)
+from cqe.kernel import ASSUME, new_basic_definition, new_constant, new_type_constructor, vsubst
+from cqe.syntax import (
+    IDENT,
+    KEYWORD,
+    TYVAR,
+    Abstraction,
+    Application,
+    Constant,
+    Hole,
+    Quotation,
+    Term,
+    TypeVariable,
+    Variable,
+    _interned,
+    bool_ty,
+    map_holes,
+    subterms,
+    variables_in,
+)
+
+from genterms import TermGen
+
+TESTS = Path(__file__).resolve().parent
+SCRIPTS = TESTS.parent / "src" / "cqe" / "scripts"
+
+# ---------------------------------------------------------------------------
+# reference oracles
+# ---------------------------------------------------------------------------
+
+_TOKEN_RE_REFERENCE = re.compile(
+    rf"""\s*(?:
+        (?P<STRING>"[^"\n]*")
+      | (?P<TYVAR>{TYVAR})
+      | (?P<KW>{KEYWORD}(?![A-Za-z0-9_']))
+      | (?P<IDENT>{IDENT})
+      | (?P<NUMERAL>[0-9]+)
+      | (?P<OP>==>|->|<=|/\\|\\/|[()\.:\\~=!?+*])
+      | (?P<EOF>\Z)
+      | (?P<BAD>.)
+    )""",
+    re.VERBOSE,
+)
+
+
+def lex_reference(text):
+    kinds, texts, starts = [], [], []
+    for m in _TOKEN_RE_REFERENCE.finditer(text):
+        g = m.lastindex
+        kind = m.lastgroup
+        lexeme = m[g]
+        if kind == "OP" or kind == "KW":
+            kind = lexeme
+        elif kind == "BAD":
+            line, col = _linecol(text, m.start(g))
+            raise ParseError(
+                f"unexpected character {lexeme!r}",
+                SourceSpan(text, (line, col), (line, col + 1)),
+            )
+        kinds.append(kind)
+        texts.append(lexeme)
+        starts.append(m.start(g))
+        if kind == "EOF":
+            break
+    return kinds, texts, starts
+
+
+def interned_reference(node):
+    s = session.current()
+    if isinstance(node, Term):
+        return s.terms.get((type(node), node._parts)) is node
+    key = node.name if type(node) is TypeVariable else (node.constructor, node.arguments)
+    return s.types.get(key) is node
+
+
+def vsubst_reference(t, theta, registry, used):
+    if isinstance(t, Variable):
+        return theta.get(t, t)
+    if t.eval_free and theta.keys().isdisjoint(t._fv):
+        return t
+    if isinstance(t, Application):
+        fn = vsubst_reference(t.fn, theta, registry, used)
+        arg = vsubst_reference(t.arg, theta, registry, used)
+        return t if fn is t.fn and arg is t.arg else Application(fn, arg)
+    if isinstance(t, Abstraction):
+        return kernel._vsubst_abs(t, theta, registry, used)
+    if isinstance(t, Quotation):
+        body = map_holes(t.body, vsubst_reference, theta, registry, used)
+        return t if body is t.body else Quotation(body)
+    if isinstance(t, Hole):
+        c = vsubst_reference(t.content, theta, registry, used)
+        return t if c is t.content else Hole(c, t.slot_type)
+    return kernel._vsubst_eval(t, theta, registry, used)
+
+
+_SEXP_TOKEN_REFERENCE = re.compile(r'''\s*(?:(\()|(\))|"([^"\\]*(?:\\.[^"\\]*)*)"|(")|(\S))''', re.S)
+_SEXP_ESCAPE = re.compile(r"\\(.)", re.S)
+
+
+def sexp_to_tree_reference(text):
+    stack = [[]]
+    for m in _SEXP_TOKEN_REFERENCE.finditer(text):
+        group = m.lastindex
+        if group == 1:
+            stack.append([])
+        elif group == 2:
+            if len(stack) == 1:
+                raise ParseError("unbalanced ')' in s-expression")
+            items = stack.pop()
+            stack[-1].append(tuple(items))
+        elif group == 3:
+            atom = m[3]
+            stack[-1].append(_SEXP_ESCAPE.sub(r"\1", atom) if "\\" in atom else atom)
+        elif group == 4:
+            raise ParseError("unterminated string in s-expression")
+        else:
+            raise ParseError(f"unexpected character {m[5]!r} in s-expression")
+    if len(stack) > 1:
+        raise ParseError("unbalanced parentheses in s-expression")
+    if not stack[0]:
+        raise ParseError("unexpected end of s-expression")
+    if len(stack[0]) > 1:
+        raise ParseError("trailing input after s-expression")
+    return stack[0][0]
+
+
+def json_to_tree_reference(text):
+    def tupleize(x):
+        if isinstance(x, list):
+            return tuple(tupleize(e) for e in x)
+        if isinstance(x, str):
+            return x
+        raise ParseError("json tree must contain only lists and strings")
+
+    try:
+        data = json.loads(text)
+    except ValueError as e:
+        raise ParseError(f"bad json: {e}") from None
+    return tupleize(data)
+
+
+def strip_comment_reference(line):
+    in_tick = False
+    for i, c in enumerate(line):
+        if c == "`":
+            in_tick = not in_tick
+        elif c == "#" and not in_tick:
+            return line[:i]
+    return line
+
+
+# ---------------------------------------------------------------------------
+# inputs
+# ---------------------------------------------------------------------------
+
+_MALFORMED = [
+    "",
+    "   \n\t ",
+    "x @ y",
+    '"unterminated',
+    '"two\nlines"',
+    "'",
+    "' a",
+    "'1",
+    "a - b",
+    "a / b",
+    "a < b",
+    "\\x. x $",
+    "f x\n  g y\n    # z",
+    "λx. x",
+    "evalx tox Q_x _Qx H_1",
+    "eval'  to'",
+    "x:num->bool",
+    "(==>) (/\\) (\\/) (<=)",
+    "a\u00a0b\u2003",
+    "\u3000",
+    "x \x0c\x0b\r\n",
+]
+
+
+def _generated_texts():
+    out = []
+    for seed in range(6):
+        gen = TermGen(seed, evals=True, holes=True)
+        for _ in range(40):
+            t = gen.term(depth=4)
+            out.append(print_term(t))
+            out.append(print_type(t.ty))
+    return out
+
+
+def _fuzzed_texts(count=400):
+    rng = random.Random(17)
+    alphabet = "ab_Q'H\"0 1\n\t()\\.:~=!?+*<>-/@#`λ" + "xyz"
+    return ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 24))) for _ in range(count)]
+
+
+def _script_texts():
+    out = []
+    for path in sorted(SCRIPTS.glob("*.cqe")):
+        text = path.read_text()
+        out += re.findall(r"`([^`]*)`", text) + [text]
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except CqeError as e:
+        span = getattr(e, "span", None)
+        return type(e), str(e), None if span is None else (span.text, span.start, span.end)
+
+
+# ---------------------------------------------------------------------------
+# the lexer
+# ---------------------------------------------------------------------------
+
+
+def test_lex_agrees_with_the_reference():
+    texts = _script_texts() + _generated_texts() + _MALFORMED + _fuzzed_texts()
+    refused = 0
+    for text in texts:
+        want = _outcome(lex_reference, text)
+        assert _outcome(_lex, text) == want, text
+        refused += want[0] is ParseError
+    assert len(_script_texts()) >= 30
+    assert refused >= 150, refused
+
+
+# ---------------------------------------------------------------------------
+# the foreign-node guard
+# ---------------------------------------------------------------------------
+
+
+def _nodes(t):
+    """Every term and type node of t, each object once."""
+    seen, stack = {}, [t]
+    while stack:
+        n = stack.pop()
+        if id(n) in seen:
+            continue
+        seen[id(n)] = n
+        if isinstance(n, Term):
+            stack.extend(p for p in n._parts if not isinstance(p, str))
+        elif type(n) is not TypeVariable:
+            stack.extend(n.arguments)
+    return list(seen.values())
+
+
+def test_interned_agrees_with_the_table_lookup():
+    template = session.template()
+    from_template = list(template.terms.values()) + list(template.types.values())
+    gen = TermGen(31, evals=True, holes=True)
+    discarded = [n for _ in range(30) for n in _nodes(gen.term(depth=4))]
+    session.reset()
+    gen = TermGen(31, evals=True, holes=True)  # the same structures, formed anew
+    live = [n for _ in range(30) for n in _nodes(gen.term(depth=4))]
+    counts = {}
+    for group, nodes in (("template", from_template), ("live", live), ("discarded", discarded)):
+        for n in nodes:
+            got = _interned(n)
+            assert got == interned_reference(n), n
+            counts[group, got] = counts.get((group, got), 0) + 1
+    assert counts.get(("template", False), 0) == counts.get(("live", False), 0) == 0
+    assert counts["discarded", False] >= 200 and counts["discarded", True] >= 100, counts
+
+
+def test_a_discarded_node_is_still_refused():
+    x_old = Variable("kept_x", bool_ty())
+    session.reset()
+    x = Variable("kept_x", bool_ty())
+    assert x is not x_old and not _interned(x_old) and _interned(x)
+    with pytest.raises(IllTyped, match="part formed in another session"):
+        Abstraction(x_old, x)
+    with pytest.raises(KernelError, match="a term was formed in another session"):
+        ASSUME(x_old)
+
+
+# ---------------------------------------------------------------------------
+# substitution
+# ---------------------------------------------------------------------------
+
+
+def _subst_outcome(pairs, t):
+    used = []
+    try:
+        return vsubst(pairs, t, used), used
+    except CqeError as e:
+        return type(e), used
+
+
+def test_vsubst_agrees_with_recursing_into_every_part(monkeypatch):
+    outcomes = {"changed": 0, "same": 0, "refused": 0}
+    for seed in range(60):
+        session.reset()
+        gen = TermGen(seed, evals=True, holes=True)
+        for i in range(12):
+            t = gen.term(depth=4)
+            vs = sorted(variables_in(t), key=lambda v: (v.name, repr(v.ty)))
+            if not vs:
+                continue
+            xs = list(dict.fromkeys([vs[i % len(vs)], vs[(i * 5 + 1) % len(vs)]][: 1 + i % 2]))
+            pairs = [(x, gen.term(x.ty, depth=1 + i % 3)) for x in xs]
+            got, used = _subst_outcome(pairs, t)
+            with monkeypatch.context() as m:
+                m.setattr(kernel, "_vsubst", vsubst_reference)
+                want, want_used = _subst_outcome(pairs, t)
+            assert got is want, (t, pairs)
+            assert [id(u) for u in used] == [id(u) for u in want_used]
+            if isinstance(got, type):
+                outcomes["refused"] += 1
+            else:
+                outcomes["same" if got is t else "changed"] += 1
+    assert outcomes["changed"] >= 300 and outcomes["same"] >= 60, outcomes
+    assert outcomes["refused"] >= 20, outcomes
+
+
+# ---------------------------------------------------------------------------
+# the read memo
+# ---------------------------------------------------------------------------
+
+
+def test_a_text_is_read_once_per_signature():
+    reads = session.current().reads
+    t = parse_term("k:bool")
+    assert isinstance(t, Variable) and len(reads) == 1
+    assert parse_term("k:bool") is t and len(reads) == 1
+    new_constant("k", bool_ty())
+    assert isinstance(parse_term("k:bool"), Constant) and len(reads) == 2
+
+
+def test_a_definition_invalidates_the_read_memo():
+    assert isinstance(parse_term("d:bool"), Variable)
+    new_basic_definition("d", parse_term("T"))
+    assert parse_term("d:bool") is Constant("d", bool_ty())
+
+
+def test_a_type_constructor_invalidates_the_read_memo():
+    reads = session.current().reads
+    t = parse_term("y:bool")
+    with pytest.raises(ParseError, match="unknown type constructor"):
+        parse_term("y:shape")
+    new_type_constructor("shape", 0)
+    assert parse_term("y:bool") is t and len(reads) == 2  # read again, same term
+    assert print_term(parse_term("y:shape")) == "y:shape"
+
+
+@pytest.mark.parametrize("text", ["(x", "x = y = z", "\\x. x", "eval c to bool ="])
+def test_a_refused_text_raises_on_every_call(text):
+    first = _outcome(parse_term, text)
+    assert first[0] in (ParseError, ElaborationError)
+    assert _outcome(parse_term, text) == first
+    assert session.current().reads == {}
+
+
+def test_reset_drops_the_read_memo():
+    old = parse_term("z:bool")
+    session.reset()
+    assert session.current().reads == {}
+    new = parse_term("z:bool")
+    assert new is not old and _interned(new)
+
+
+def test_a_script_reads_a_name_declared_after_its_first_use(tmp_path, capsys):
+    path = tmp_path / "late.cqe"
+    path.write_text(
+        "thm a := (REFL `late:bool`)\n"
+        "constant late : bool\n"
+        "thm b := (REFL `late:bool`)\n"
+    )
+    assert cli.main(["check", "--trace", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "a : |- late:bool = late:bool" in out
+    assert "b : |- late = late" in out
+
+
+# ---------------------------------------------------------------------------
+# the export codec
+# ---------------------------------------------------------------------------
+
+
+def test_memoised_trees_and_texts_equal_fresh_ones():
+    gen = TermGen(41, evals=True, holes=True)
+    terms = [gen.term(depth=4) for _ in range(60)]
+    trees = {}
+    texts = {}
+    shared = 0
+    for t in terms:
+        tree = term_to_tree(t, trees)
+        assert tree == term_to_tree(t)
+        assert tree_to_sexp(tree, texts) == tree_to_sexp(tree)
+        for s in subterms(t):
+            shared += term_to_tree(s, trees) is trees[s]
+    assert shared >= 50
+
+
+def test_sexp_reader_agrees_with_the_reference():
+    texts = [
+        '("" "a" ("b\\"c" "\\\\") ())',
+        '(""""',
+        '("a" "b")  ',
+        ' ( ) ',
+        "",
+        "x",
+        '("a") ("b")',
+        '("a"',
+        ')',
+        '("unterminated)',
+    ]
+    for path in sorted((TESTS / "golden").glob("*.sexp")):
+        texts += path.read_text().splitlines()
+    rng = random.Random(5)
+    texts += ["".join(rng.choice('()"\\ a') for _ in range(rng.randint(0, 12))) for _ in range(300)]
+    for text in texts:
+        assert _outcome(sexp_to_tree, text) == _outcome(sexp_to_tree_reference, text), text
+
+
+def test_json_reader_agrees_with_the_reference():
+    texts = ['"a"', "[]", '[["a", []], "b"]', "5", '["a", 5]', '[["a", null]]', "{}", "[", ""]
+    for path in sorted((TESTS / "golden").glob("*.json-like")):
+        texts += path.read_text().splitlines()
+    for text in texts:
+        assert _outcome(json_to_tree, text) == _outcome(json_to_tree_reference, text), text
+
+
+def test_strip_comment_agrees_with_the_reference():
+    lines = []
+    for path in sorted(SCRIPTS.glob("*.cqe")):
+        lines += path.read_text().splitlines()
+    lines += ["# all comment", "thm a := (REFL `x`) # tail", "check a matches `#` # x", "`#`", "a`b#"]
+    assert sum("#" in line for line in lines) >= 5
+    for line in lines:
+        assert cli._strip_comment(line) == strip_comment_reference(line)

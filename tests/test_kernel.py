@@ -956,6 +956,41 @@ def test_a_name_literal_cannot_be_declared_a_constant():
     assert session.current().constants == before
 
 
+def _foreign_type():
+    new_type_constructor("gone", 0)
+    ty = parse_type("gone")
+    session.reset()
+    new_type_constructor("gone", 0)
+    return ty
+
+
+@pytest.mark.parametrize(
+    "name, build, message",
+    [
+        ("", bool_ty, "not a constant name"),
+        ("a b", bool_ty, "not a constant name"),
+        ("eval", bool_ty, "not a constant name"),
+        (5, bool_ty, "not a constant name"),
+        ("k", lambda: 5, "not a type of this session"),
+        ("k", _foreign_type, "not a type of this session"),
+    ],
+    ids=["empty", "space", "keyword", "not_a_string", "not_a_type", "foreign_type"],
+)
+def test_a_refused_constant_leaves_the_signature_untouched(name, build, message):
+    ty = build()
+    before = dict(session.current().constants)
+    with pytest.raises(IllTyped, match=message):
+        new_constant(name, ty)
+    assert session.current().constants == before
+
+
+def test_an_operator_or_identifier_may_name_a_constant():
+    for name in ("k'", "_k2", "Q_x"):
+        assert new_constant(name, bool_ty()) is Constant(name, bool_ty())
+    with pytest.raises(DuplicateName, match="already registered"):
+        new_constant("<=", bool_ty())
+
+
 def test_register_not_effective_requires_the_shape():
     with pytest.raises(WrongShape):
         register_not_effective(REFL(T))

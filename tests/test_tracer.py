@@ -27,3 +27,28 @@ def test_every_traced_entry_point_exists(monkeypatch):
     # the names above, and each traced node class's __post_init__
     assert tr.missing == []
     assert syntax._frees is frees
+
+
+def test_nodes_built_counts_each_node_a_script_adds(monkeypatch):
+    # each new node runs its class's __post_init__ once: a term enters the
+    # session's terms table, a TypeApplication its types table (a type
+    # variable has no __post_init__)
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracer
+
+    from cqe import cli, session
+
+    def type_applications(s):
+        return sum(type(ty) is syntax.TypeApplication for ty in s.types.values())
+
+    text = (BENCH.parent / "src" / "cqe" / "scripts" / "lem_instance.cqe").read_text()
+    s = session.reset()
+    terms, types = len(s.terms), type_applications(s)
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        cli.Runner(quiet=True).run_text(text)
+    finally:
+        tr.uninstall()
+    added = len(s.terms) - terms + type_applications(s) - types
+    assert tr.nodes_built == added > 0
