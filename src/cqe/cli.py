@@ -27,6 +27,7 @@ the axiom/trusted provenance — in a stable, replayable form.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -492,7 +493,10 @@ def _cmd_repl(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: it is the same on
+    every call of ``main``."""
     ap = argparse.ArgumentParser(
         prog="cqe",
         description="Proof checker for a logic with quotation and evaluation.",
@@ -514,8 +518,11 @@ def main(argv=None) -> int:
     p_exp.add_argument(
         "--format", choices=["sexp", "json-like"], default="sexp"
     )
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     handler = {"check": _cmd_check, "export": _cmd_export, "repl": _cmd_repl}[args.cmd]
     try:
         return handler(args)

@@ -28,20 +28,19 @@ equation can be discharged by inference later.
 
 Each check has one home.  Formation (:mod:`cqe.syntax`) makes every term
 well-typed: each part is of its field's kind, a binder is a variable, an
-operand fits its operator's domain.  ``_thm`` alone checks that a
-conclusion is boolean, holds no hole outside quotations and is the
-session's node.  A rule checks only what neither does: its premises' shape,
-its side conditions, and arguments that would otherwise be refused under
-another class or as a raw Python error.  Every hypothesis is boolean and
-free of naked holes, so ``_thm`` checks none: each is a premise's, an
-``INST`` image of one (``vsubst`` substitutes only hole-free terms of the
-variable's type), an ``INST_TYPE`` image (which keeps ``bool``), or
-``ASSUME``'s checked conclusion.
+operand fits its operator's domain.  ``_thm`` alone checks that a conclusion
+is boolean, holds no hole outside quotations and is the session's node,
+refuses a premise derived outside the session and the template, and unites
+the premises' axioms and trusted tags.  A rule checks only what neither
+does: its premises' shape, its side conditions, and arguments that would
+otherwise be refused under another class or as a raw Python error.  Every
+hypothesis is boolean and free of naked holes, so ``_thm`` checks none: each
+is a premise's, an ``INST`` image of one (``vsubst`` substitutes only
+hole-free terms of the variable's type), an ``INST_TYPE`` image (which keeps
+``bool``), or ``ASSUME``'s checked conclusion.
 """
 
 from __future__ import annotations
-
-import weakref
 
 from . import session
 from .constructions import (
@@ -81,6 +80,8 @@ from .syntax import (
     TypeApplication,
     TypeVariable,
     Variable,
+    _VAR_NAME,
+    _formed_in,
     _frees,
     _interned,
     alpha_equivalent,
@@ -120,22 +121,22 @@ _MAKER = object()
 class Theorem:
     """A derived sequent: hypotheses, conclusion, and its trust base.
 
-    ``session`` is a weak reference to the session the theorem was derived
-    in (weak, so that a session and its theorems form no reference cycle); a
-    rule accepts the theorem as a premise only there or, for a bootstrap
-    theorem, in any session.
+    Like a node, a theorem is stamped with the ``_serial`` of the session it
+    was derived in (an integer, so a theorem holds no reference to a
+    session); ``_thm`` accepts it as a premise only there or, for a
+    bootstrap theorem, in any session.
     """
 
-    __slots__ = ("hyps", "concl", "axioms", "trusted", "session")
+    __slots__ = ("hyps", "concl", "axioms", "trusted", "_serial")
 
-    def __init__(self, hyps, concl, axioms, trusted, token=None):
+    def __init__(self, hyps, concl, axioms, trusted, serial=None, token=None):
         if token is not _MAKER:
             raise KernelError("theorems can only be produced by inference rules")
         object.__setattr__(self, "hyps", hyps)
         object.__setattr__(self, "concl", concl)
         object.__setattr__(self, "axioms", axioms)
         object.__setattr__(self, "trusted", trusted)
-        object.__setattr__(self, "session", weakref.ref(session.current()))
+        object.__setattr__(self, "_serial", serial)
 
     def __setattr__(self, name, value):
         raise AttributeError("theorems are immutable")
@@ -149,33 +150,24 @@ class Theorem:
             return f"<Theorem at {id(self):#x}>"
 
 
-def _thm(hyps, concl, axioms=frozenset(), trusted=frozenset()) -> Theorem:
-    """The theorem maker.  It checks the conclusion only: every hypothesis is
-    already boolean and free of naked holes (see the module docstring)."""
-    hyps = frozenset(hyps)
+def _thm(hyps, concl, *premises, axioms=frozenset(), trusted=frozenset()) -> Theorem:
+    """The theorem maker.  It refuses a premise derived outside the active
+    session and the template, gives the theorem the union of the premises'
+    provenance, and checks the conclusion: every hypothesis is already
+    boolean and free of naked holes (see the module docstring)."""
+    serial = session.current().serial
+    for th in premises:
+        if not _formed_in(th, serial):
+            raise KernelError("a premise was derived in another session")
+        axioms |= th.axioms
+        trusted |= th.trusted
     if concl.ty != bool_ty():
         raise IllTyped("a conclusion must have type bool")
     if concl.has_naked_hole:
         raise ContainsHole("a conclusion cannot contain a hole outside quotations")
-    if not _interned(concl):
+    if not _formed_in(concl, serial):
         raise KernelError("a term was formed in another session")
-    return Theorem(hyps, concl, frozenset(axioms), frozenset(trusted), _MAKER)
-
-
-def _prov(*thms):
-    """The union of the premises' provenance, refusing a premise derived in
-    a session other than the active one and the bootstrap template."""
-    active = session.current()
-    template = session.template()
-    ax = frozenset()
-    tr = frozenset()
-    for t in thms:
-        derived_in = t.session()
-        if derived_in is not active and derived_in is not template:
-            raise KernelError("a premise was derived in another session")
-        ax |= t.axioms
-        tr |= t.trusted
-    return ax, tr
+    return Theorem(frozenset(hyps), concl, axioms, trusted, serial, _MAKER)
 
 
 def trusted_theorem(concl: Term, tag: str) -> Theorem:
@@ -545,19 +537,14 @@ def TRANS(th1: Theorem, th2: Theorem) -> Theorem:
     l2, r2 = dest_eq(th2.concl)
     if not alpha_equivalent(r1, l2):
         raise WrongShape("the middle terms of a transitivity step differ")
-    ax, tr = _prov(th1, th2)
-    return _thm(th1.hyps | th2.hyps, mk_eq(l1, r2), ax, tr)
+    return _thm(th1.hyps | th2.hyps, mk_eq(l1, r2), th1, th2)
 
 
 def MK_COMB(thf: Theorem, tha: Theorem) -> Theorem:
     lf, rf = dest_eq(thf.concl)
     la, ra = dest_eq(tha.concl)
-    ax, tr = _prov(thf, tha)
     return _thm(
-        thf.hyps | tha.hyps,
-        mk_eq(Application(lf, la), Application(rf, ra)),
-        ax,
-        tr,
+        thf.hyps | tha.hyps, mk_eq(Application(lf, la), Application(rf, ra)), thf, tha
     )
 
 
@@ -581,8 +568,7 @@ def ABS(x: Variable, th: Theorem) -> Theorem:
                     needed=((x, h),),
                 )
             extra.append(fact)
-    ax, tr = _prov(th, *extra)
-    return _thm(th.hyps, mk_eq(Abstraction(x, l), Abstraction(x, r)), ax, tr)
+    return _thm(th.hyps, mk_eq(Abstraction(x, l), Abstraction(x, r)), th, *extra)
 
 
 def BETA(t: Term) -> Theorem:
@@ -606,31 +592,27 @@ def EQ_MP(theq: Theorem, th: Theorem) -> Theorem:
     l, r = dest_eq(theq.concl)
     if not alpha_equivalent(l, th.concl):
         raise WrongShape("the equation's left side does not match the theorem")
-    ax, tr = _prov(theq, th)
-    return _thm(theq.hyps | th.hyps, r, ax, tr)
+    return _thm(theq.hyps | th.hyps, r, theq, th)
 
 
 def DEDUCT_ANTISYM(th1: Theorem, th2: Theorem) -> Theorem:
     hyps = frozenset(
         h for h in th1.hyps if not alpha_equivalent(h, th2.concl)
     ) | frozenset(h for h in th2.hyps if not alpha_equivalent(h, th1.concl))
-    ax, tr = _prov(th1, th2)
-    return _thm(hyps, mk_eq(th1.concl, th2.concl), ax, tr)
+    return _thm(hyps, mk_eq(th1.concl, th2.concl), th1, th2)
 
 
 def INST(pairs, th: Theorem) -> Theorem:
     used = []
     concl = vsubst(pairs, th.concl, used)
     hyps = [vsubst(pairs, h, used) for h in th.hyps]
-    ax, tr = _prov(th, *used)
-    return _thm(hyps, concl, ax, tr)
+    return _thm(hyps, concl, th, *used)
 
 
 def INST_TYPE(pairs, th: Theorem) -> Theorem:
     concl = inst_type(pairs, th.concl)
     hyps = [inst_type(pairs, h) for h in th.hyps]
-    ax, tr = _prov(th)
-    return _thm(hyps, concl, ax, tr)
+    return _thm(hyps, concl, th)
 
 
 # ---------------------------------------------------------------------------
@@ -794,7 +776,8 @@ def NEITHER_EFFECTIVE(x: Variable, y: Variable, a: Term, b: Term) -> Theorem:
 
 def register_not_effective(th: Theorem) -> Theorem:
     """Admit a proved not-effective fact into the substitution registry."""
-    _prov(th)  # refuses a theorem from another session
+    if not _interned(th):
+        raise KernelError("the theorem was derived in another session")
     if th.hyps:
         raise WrongShape("only a hypothesis-free theorem can be registered")
     x, t = dest_not_effective(th.concl)
@@ -803,10 +786,13 @@ def register_not_effective(th: Theorem) -> Theorem:
 
 
 def new_type_constructor(name: str, arity: int) -> None:
+    """Declare a type constructor; a refusal leaves the signature untouched."""
     s = session.current()
+    if not (isinstance(name, str) and _VAR_NAME.fullmatch(name)):
+        raise IllTyped(f"not a type constructor name (an identifier, not a keyword): {name!r}")
     if name in s.type_arities:
         raise DuplicateName(f"type constructor already registered: {name!r}")
-    if not isinstance(arity, int) or arity < 0:
+    if type(arity) is not int or arity < 0:
         raise KernelError("arity must be a non-negative integer")
     s.type_arities[name] = arity
 

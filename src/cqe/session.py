@@ -6,8 +6,8 @@ derived rules instantiate, the registry of proved not-effective facts
 that the substitution discipline consults, the intern tables of the
 types and terms formed while it is active (see ``syntax``), and the
 reader's memo of the terms it has read (see ``frontend.parse_term``).
-Each session has its own ``serial``, which ``syntax`` stamps on every node
-formed while the session is active.
+Each session has its own ``serial``, stamped on every node formed and every
+theorem derived while it is active; ``syntax._formed_in`` compares stamps.
 
 The initial session is built once per process (the bootstrap installs the
 syntax-reflection constants, the logical connectives and their support
@@ -69,12 +69,6 @@ def current() -> Session:
     if _current is None:
         reset()
     return _current
-
-
-def template():
-    """The bootstrap template every session is cloned from; None until the
-    bootstrap has finished."""
-    return _template
 
 
 def reset() -> Session:

@@ -9,7 +9,7 @@ import types
 import pytest
 
 from cqe import kernel, logic, session
-from cqe.cli import RULE_SIGS, Runner, _rule_sigs, main
+from cqe.cli import RULE_SIGS, Runner, _parser, _rule_sigs, main
 from cqe.errors import ScriptError
 from cqe.syntax import HolType, Term
 
@@ -24,6 +24,31 @@ def write(tmp_path, text):
     p = tmp_path / "script.cqe"
     p.write_text(text, encoding="utf-8")
     return str(p)
+
+
+# ---------------------------------------------------------------------------
+# the command line
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["--help"], 0), (["check", "--help"], 0), ([], 2), (["check"], 2),
+     (["export", "x.cqe"], 2), (["export", "x.cqe", "--out", "o", "--format", "xml"], 2)],
+    ids=["help", "check_help", "no_command", "no_file", "no_out", "bad_format"],
+)
+def test_the_parser_is_built_once_and_answers_alike(argv, code, capsys):
+    assert _parser() is _parser()
+    answers = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        answers.append((e.value.code, capsys.readouterr()))
+    fresh = _parser.__wrapped__()  # a parser built anew, as every call once did
+    with pytest.raises(SystemExit) as e:
+        fresh.parse_args(argv)
+    answers.append((e.value.code, capsys.readouterr()))
+    assert answers[0][0] == code and answers[0] == answers[1] == answers[2]
 
 
 # ---------------------------------------------------------------------------

@@ -280,7 +280,7 @@ def _nodes(t):
 
 
 def test_interned_agrees_with_the_table_lookup():
-    template = session.template()
+    template = session._build_template()
     from_template = list(template.terms.values()) + list(template.types.values())
     gen = TermGen(31, evals=True, holes=True)
     discarded = [n for _ in range(30) for n in _nodes(gen.term(depth=4))]

@@ -83,7 +83,7 @@ from cqe.syntax import (
     str_ty,
 )
 
-from cqe.frontend import parse_type
+from cqe.frontend import parse_type, print_type
 from cqe.logic import BETA_EVAL, CONST_DISQUO, NOT_ELIM, SYM, VAR_DISQUO
 
 from genterms import TermGen
@@ -942,11 +942,40 @@ def test_new_type_constructor():
     assert ty.arguments == (bool_ty(), num_ty())
     with pytest.raises(KernelError):
         new_type_constructor("pair2", 2)
+
+
+@pytest.mark.parametrize(
+    "name, arity, error, message",
+    [
+        ("'a", 0, IllTyped, "not a type constructor name"),
+        ("a b", 0, IllTyped, "not a type constructor name"),
+        ("", 0, IllTyped, "not a type constructor name"),
+        ("eval", 0, IllTyped, "not a type constructor name"),
+        ("->", 0, IllTyped, "not a type constructor name"),
+        (5, 0, IllTyped, "not a type constructor name"),
+        ("bad", -1, KernelError, "arity"),
+        ("bad", "2", KernelError, "arity"),
+        ("bad", None, KernelError, "arity"),
+        ("bad", True, KernelError, "arity"),
+        ("bad", 1.0, KernelError, "arity"),
+    ],
+    ids=[
+        "type_variable", "space", "empty", "keyword", "arrow", "not_a_string",
+        "negative", "str_arity", "none_arity", "bool_arity", "float_arity",
+    ],
+)
+def test_a_refused_type_constructor_leaves_the_signature_untouched(name, arity, error, message):
     before = dict(session.current().type_arities)
-    for arity in (-1, "2", None):
-        with pytest.raises(KernelError, match="arity"):
-            new_type_constructor("bad", arity)
+    with pytest.raises(error, match=message):
+        new_type_constructor(name, arity)
     assert session.current().type_arities == before
+
+
+def test_a_declared_type_constructor_reads_back_as_itself():
+    new_type_constructor("shape_2", 0)
+    ty = parse_type("shape_2")
+    assert ty.constructor == "shape_2" and ty.arguments == ()
+    assert parse_type(print_type(ty)) is ty
 
 
 def test_a_name_literal_cannot_be_declared_a_constant():
@@ -1020,7 +1049,7 @@ def test_a_premise_from_another_session_is_refused():
 
 def test_a_bootstrap_theorem_is_a_premise_in_every_session():
     truth = session.current().theorems["TRUTH"]
-    assert truth.session() is session.template()
+    assert truth._serial == session.template_serial
     session.reset()
     assert EQ_MP(REFL(truth.concl), truth).concl == truth.concl
 
@@ -1062,6 +1091,93 @@ def test_inst_type_and_the_registry_refuse_a_foreign_theorem():
     with pytest.raises(KernelError, match="another session"):
         register_not_effective(fact)
     assert (n, repl) not in session.current().nei_registry
+
+
+# ---------------------------------------------------------------------------
+# provenance through the seven premise-taking rules
+# ---------------------------------------------------------------------------
+
+
+def _premise(i, concl, hyps=()):
+    """A theorem carrying its own axiom ``ax<i>`` and trusted tag ``tag<i>``."""
+    return kernel._thm(
+        hyps, concl, axioms=frozenset({f"ax{i}"}), trusted=frozenset({f"tag{i}"})
+    )
+
+
+def _mk_comb():
+    f, g = (Variable(name, mk_fun(bool_ty(), bool_ty())) for name in "fg")
+    return MK_COMB(_premise(1, mk_eq(f, g)), _premise(2, mk_eq(bv("a"), bv("b"))))
+
+
+def _abs_with_a_registry_fact():
+    # the hypothesis holds an evaluation, so ABS consults the registry
+    x, h = bv("x"), Evaluation(ev("g"), bool_ty())
+    register_not_effective(_premise(2, mk_not_effective(x, h)))
+    return ABS(x, _premise(1, mk_eq(bv("a"), bv("b")), (h,)))
+
+
+def _inst_with_a_registry_fact():
+    n, P, repl, lam = _eval_under_binder()
+    register_not_effective(_premise(2, mk_not_effective(n, repl)))
+    return INST([(P, repl)], _premise(1, mk_eq(lam, lam)))
+
+
+def _inst_type():
+    a = TypeVariable("'A")
+    x = Variable("x", a)
+    return INST_TYPE([(a, bool_ty())], _premise(1, mk_eq(x, x)))
+
+
+# rule -> (number of premises and registry facts, the rule applied to them)
+_PROVENANCE = {
+    "TRANS": (2, lambda: TRANS(
+        _premise(1, mk_eq(bv("a"), bv("b"))), _premise(2, mk_eq(bv("b"), bv("c")))
+    )),
+    "MK_COMB": (2, _mk_comb),
+    "ABS": (2, _abs_with_a_registry_fact),
+    "EQ_MP": (2, lambda: EQ_MP(_premise(1, mk_eq(bv("a"), bv("b"))), _premise(2, bv("a")))),
+    "DEDUCT_ANTISYM": (2, lambda: DEDUCT_ANTISYM(
+        _premise(1, bv("a"), (bv("b"),)), _premise(2, bv("b"), (bv("a"),))
+    )),
+    "INST": (2, _inst_with_a_registry_fact),
+    "INST_TYPE": (1, _inst_type),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(_PROVENANCE))
+def test_provenance_is_the_union_of_the_premises(rule):
+    n, derive = _PROVENANCE[rule]
+    th = derive()
+    assert th.axioms == {f"ax{i}" for i in range(1, n + 1)}
+    assert th.trusted == {f"tag{i}" for i in range(1, n + 1)}
+
+
+# Premises whose hypotheses and conclusions hold only template nodes, so
+# that nothing but the premise guard can refuse them in a later session;
+# and the rule applied to them.
+_REFUSAL = {
+    "TRANS": (lambda: (REFL(T), REFL(T)), TRANS),
+    "MK_COMB": (lambda: (REFL(Abstraction(bv("p"), bv("p"))), REFL(T)), MK_COMB),
+    "ABS": (lambda: (REFL(T),), lambda th: ABS(bv("x"), th)),
+    "EQ_MP": (lambda: (REFL(T), ASSUME(T)), EQ_MP),
+    "DEDUCT_ANTISYM": (lambda: (ASSUME(T), ASSUME(T)), DEDUCT_ANTISYM),
+    "INST": (lambda: (REFL(T),), lambda th: INST([(bv("x"), F)], th)),
+    "INST_TYPE": (lambda: (REFL(T),), lambda th: INST_TYPE([(TypeVariable("'A"), num_ty())], th)),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(_REFUSAL))
+def test_a_premise_from_a_discarded_session_is_refused(rule):
+    make, apply = _REFUSAL[rule]
+    old = make()
+    session.reset()
+    assert all(
+        t._serial == session.template_serial for th in old for t in (th.concl, *th.hyps)
+    )
+    apply(*make())  # the same premises, derived in this session
+    with pytest.raises(KernelError, match="a premise was derived in another session"):
+        apply(*old)
 
 
 # ---------------------------------------------------------------------------
