@@ -5,7 +5,9 @@ The surface language is a small HOL-style notation:
     !x:epsilon. isExprType x (TyBase "bool") ==> ((eval x to bool) \\/ ~(eval x to bool))
 
 * ``!`` / ``?`` / ``\\`` bind variables (``!x y:bool. p``); binder variables
-  may carry a ``:type`` annotation, and the printer always emits one.
+  may carry a ``:type`` annotation, and the printer always emits one.  A
+  type is a type variable, a constructor name, ``ty -> ty``, or a
+  constructor applied to type atoms, ``(c t1 ... tn)``.
 * ``==>`` ``\\/`` ``/\\`` ``~`` ``=`` are the usual connectives; ``=`` does
   not associate, so chained equations need parentheses.
 * ``Q_ t _Q`` quotes a term, ``H_ c _H`` splices a construction into a
@@ -15,16 +17,19 @@ The surface language is a small HOL-style notation:
   on; string literals like ``"bool"`` are the names used by syntax
   constructors; numerals abbreviate ``SUC (SUC ... _0)`` on input only.
 
-``parse_term`` reads a text once per session and signature: the session
-keeps what it read (see ``parse_term``).  One regular-expression scan lexes
-the input into parallel lists of token kinds, texts and offsets; a keyword
-is an identifier found in a set, and ``line:col`` is worked out from an
-offset only for a message.  One reading pass then parses and elaborates
-together: a binding-power loop (Pratt, "Top down operator precedence",
-POPL 1973) reads one nesting level per frame, handling prefix forms,
-application and the infix connectives of ``_INFIX``, the table the printer
-also uses, and each form is elaborated into a plan as soon as it is read.  ``_build`` then
-makes the kernel term of the finished plan.
+``parse_term`` reads a text once per session and signature, and each
+parenthesized group in it once too, wherever the group's names resolve as
+they did: the session keeps what it read (see ``parse_term``).  One
+regular-expression scan lexes the input into parallel lists of token kinds,
+texts and offsets, and matches its parentheses; a keyword is an identifier
+found in a set, and ``line:col`` is worked out from an offset only for a
+message.  One reading pass then parses and elaborates together: a
+binding-power loop (Pratt, "Top down operator precedence", POPL 1973) reads
+one nesting level per frame, handling prefix forms, application and the
+infix connectives of ``_INFIX``, the table the printer also uses, and each
+form is elaborated into a plan as soon as it is read.  ``_build`` then
+makes the kernel term of the finished plan; a group kept in the memo is
+built at its ``)`` and is a leaf of that plan.
 
 Elaboration resolves identifier scoping and fills in types.  Its types are
 kernel types plus two frontend-only classes that the kernel never sees: a
@@ -54,6 +59,7 @@ import re
 
 from . import session
 from .errors import (
+    CqeError,
     ElaborationError,
     HoleOutsideQuotation,
     IllTyped,
@@ -123,22 +129,45 @@ _KIND_BY_FIRST.update(dict.fromkeys("0123456789", "NUMERAL"))
 _KIND_BY_FIRST.update({'"': "STRING", "'": "TYVAR"})
 
 
+class _Kinds(dict):
+    """Token text -> kind, starting from ``_KIND``.  Any other text gets
+    the kind of its first character and is remembered, up to a bound, so
+    that the lexer looks most tokens up once, in C."""
+
+    def __missing__(self, tok):
+        kind = _KIND_BY_FIRST.get(tok[0], "BAD")
+        if len(self) < 4096:
+            self[tok] = kind
+        return kind
+
+
+_kind = _Kinds(_KIND).__getitem__
+
+
 def _linecol(text: str, offset: int) -> tuple:
     """1-based line and 0-based column of an offset into ``text``."""
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset) - 1
 
 
 def _lex(text: str) -> tuple:
-    """Parallel lists (kinds, texts, offsets), ending with one EOF token."""
+    """Parallel lists (kinds, texts, offsets), ending with one EOF token, and
+    ``close``: the index of each ``(`` that has a matching ``)`` -> the index
+    of that ``)``."""
     spans = _TOKEN_RE.findall(text)
     if len(spans) > 1 and spans[-2].isspace():
         del spans[-1]  # after trailing blanks and the end, the end again
     texts = [span.lstrip() for span in spans]
-    kinds = [_KIND.get(tok) or _KIND_BY_FIRST.get(tok[0], "BAD") for tok in texts]
+    kinds = list(map(_kind, texts))
     starts = []
+    close = {}
+    opened = []  # indices of the open parentheses, innermost last
     end = 0
     for span, tok in zip(spans, texts):
         end += len(span)
+        if tok == "(":
+            opened.append(len(starts))
+        elif tok == ")" and opened:
+            close[opened.pop()] = len(starts)
         starts.append(end - len(tok))
     if "BAD" in kinds:
         j = kinds.index("BAD")
@@ -147,7 +176,7 @@ def _lex(text: str) -> tuple:
             f"unexpected character {texts[j]!r}",
             SourceSpan(text, (line, col), (line, col + 1)),
         )
-    return kinds, texts, starts
+    return kinds, texts, starts, close
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +202,7 @@ _OP_ATOMS = frozenset(OPERATORS)
 _BINDERS = frozenset({"!", "?", "\\"})
 
 _ATOM_START = frozenset({"IDENT", "STRING", "NUMERAL", "Q_", "H_", "("})
+_TYATOM_START = frozenset({"TYVAR", "IDENT", "("})
 
 
 class _UnifyFail(Exception):
@@ -258,6 +288,20 @@ def _undo(trail, mark):
         trail.pop().ref = None
 
 
+def _is(t, ty) -> bool:
+    """Whether the elaboration type ``t`` is now exactly the kernel type ``ty``."""
+    t = _resolve(t)
+    if t is ty:
+        return True
+    return (
+        type(t) is _Open
+        and type(ty) is TypeApplication
+        and t.constructor == ty.constructor
+        and len(t.arguments) == len(ty.arguments)
+        and all(map(_is, t.arguments, ty.arguments))
+    )
+
+
 def _zonk(t) -> HolType:
     """``t`` with its metas replaced by their solutions; ``t`` itself when
     it is a kernel type.  Raises ``_Unresolved`` on an unsolved meta.
@@ -290,9 +334,14 @@ def _instance(ty: HolType, metas: dict):
 #   (ty, _P_APP, fn plan, arg plan)   (ty, _P_NUM, value)
 #   (ty, _P_ABS, name, variable type, body plan)
 #   (ty, _P_QUOTE, body plan)   (ty, _P_HOLE, plan)   (ty, _P_EVAL, plan)
+#   (ty, _P_TERM, term)   -- a group already built, or taken from the memo
 # A bound occurrence is a _P_VAR at its binder's type, so it builds the
 # binder's own (interned) Variable.
-_P_CONST, _P_VAR, _P_APP, _P_NUM, _P_ABS, _P_QUOTE, _P_HOLE, _P_EVAL = range(8)
+_P_CONST, _P_VAR, _P_APP, _P_NUM, _P_ABS, _P_QUOTE, _P_HOLE, _P_EVAL, _P_TERM = range(9)
+
+# The depth of a name's resolution in the reader's log (see _Reader): a
+# binder's is len(names) where it binds; a free variable's is one of these.
+_FREE, _NEW = -1, -2  # an entry found in the free-variable table; one made
 
 
 class _Reader:
@@ -301,17 +350,35 @@ class _Reader:
     A syntax error is raised where it is found.  An elaboration error is
     held in ``error`` while reading goes on, so that a syntax error later in
     the text still wins; ``parse_term`` raises it once the input has ended.
+
+    A parenthesized group of more than one token is first looked up in the
+    session's read memo (``_reuse``).  On a miss it is read and, if no
+    elaboration error is held at its ``)``, kept (``_keep``); what is not
+    kept is built by the final ``_build``, so errors and their order are
+    those of a read without the memo.  Groups kept are listed in ``kept``
+    so that a refused text can take them back out (``forget``).
     """
 
     def __init__(self, text):
         self.text = text
-        self.kinds, self.texts, self.starts = _lex(text)
+        self.kinds, self.texts, self.starts, self.close = _lex(text)
         self.i = 0
-        self.constants = session.current().constants
+        s = session.current()
+        self.constants = s.constants
+        self.reads = s.reads
+        self.sig = (len(s.constants), len(s.type_arities))
         self.eps = epsilon_ty()
         self.free = {}  # free-variable name -> elaboration type
-        self.scope = {}  # bound name -> [elaboration type], innermost last
+        # bound name -> [(elaboration type, depth)], innermost last; a
+        # binder's depth is len(names) where it binds
+        self.scope = {}
         self.names = []  # names of the binders in scope, innermost last
+        # (name, elaboration type, depth) of each resolution that may lie
+        # outside the innermost open group: depth < d0, where d0 is
+        # len(names) when that group began, or _NEW when none is open
+        self.log = []
+        self.d0 = _NEW
+        self.kept = []  # (memo key, the entry it replaced or None)
         self.trail = []
         # len(names) at the outermost open quotation; None outside any
         # quotation and directly inside a hole
@@ -374,11 +441,26 @@ class _Reader:
             except KernelError as e:
                 self.fail(str(e), i)
         if kind == "(":
+            if self.kinds[i + 1] == "IDENT" and self.kinds[i + 2] in _TYATOM_START:
+                return self._tyapp()
             self.i = i + 1
             ty = self.type_()
             self.expect(")", ")")
             return ty
         self.fail("expected a type")
+
+    def _tyapp(self) -> HolType:
+        """``(c t1 ... tn)``: a type constructor applied to type atoms."""
+        j = self.i + 1
+        self.i = j + 1
+        args = []
+        while self.kinds[self.i] in _TYATOM_START:
+            args.append(self.tyatom())
+        self.expect(")", ")")
+        try:
+            return TypeApplication(self.texts[j], tuple(args))
+        except KernelError as e:
+            self.fail(str(e), j)
 
     def _opt_ann(self) -> HolType | None:
         if self.kinds[self.i] == ":":
@@ -431,9 +513,26 @@ class _Reader:
                     self.i = i + 3
                     lhs = self._ident(kinds[i + 1], self._opt_ann(), off)
                 else:
-                    self.i = i + 1
-                    lhs = self.term()
-                    self.expect(")", ")")
+                    # the group is read here, so that nesting costs one
+                    # frame per level
+                    j = self.close.get(i, 0)
+                    inner = self.text[off + 1 : starts[j]] if j > i + 2 else None
+                    lhs = None if inner is None else self._reuse(inner, j)
+                    if lhs is None:
+                        self.i = i + 1
+                        if inner is None:
+                            lhs = self.term()
+                            self.expect(")", ")")
+                        else:
+                            outer, d0, mark = self.d0, len(self.names), len(self.log)
+                            self.d0 = d0
+                            lhs = self.term()
+                            self.expect(")", ")")
+                            self.d0 = outer
+                            if self.error is None:
+                                lhs = self._keep(inner, lhs, d0, mark)
+                            if outer < 0:
+                                del self.log[mark:]  # no open group needs it
             elif kind == "NUMERAL":
                 self.i = i + 1
                 if "_0" not in self.constants or "SUC" not in self.constants:
@@ -495,7 +594,7 @@ class _Reader:
                     ParseError(f"binder variable {name!r} shadows a constant {self._at(off)}")
                 )
             vty = ann if ann is not None else _Meta()
-            self.scope.setdefault(name, []).append(vty)
+            self.scope.setdefault(name, []).append((vty, len(self.names)))
             self.names.append(name)
             bound.append((name, vty, off, quantifier))
             if self.kinds[self.i] != "IDENT":
@@ -547,7 +646,7 @@ class _Reader:
         return (res, _P_APP, fplan, aplan)
 
     def _ident(self, name, ann, off) -> tuple:
-        for vty in reversed(self.scope.get(name, ())):
+        for vty, depth in reversed(self.scope.get(name, ())):
             if ann is not None:
                 mark = len(self.trail)
                 try:
@@ -555,6 +654,8 @@ class _Reader:
                 except _UnifyFail:
                     _undo(self.trail, mark)
                     continue  # annotation escapes this binder; look outward
+            if depth < self.d0:
+                self.log.append((name, vty, depth))
             return (vty, _P_VAR, name)
         generic = self.constants.get(name)
         if generic is not None:
@@ -566,9 +667,108 @@ class _Reader:
         ety = self.free.get(name)
         if ety is None:
             ety = self.free[name] = ann if ann is not None else _Meta()
-        elif ann is not None:
-            self._unify_at(ety, ann, off, f"conflicting types for free variable {name!r}")
+            depth = _NEW
+        else:
+            if ann is not None:
+                self._unify_at(ety, ann, off, f"conflicting types for free variable {name!r}")
+            depth = _FREE
+        if depth < self.d0:
+            self.log.append((name, ety, depth))
         return (ety, _P_VAR, name)
+
+    # -- the group memo -----------------------------------------------------
+
+    def _reuse(self, inner, j):
+        """The plan of the group whose text is ``inner`` and whose ``)`` is
+        token ``j``, from a memo entry that fits here; None if none does.
+
+        A group entry is tried first, then a whole-text entry, whose names
+        are all its own free variables.
+        """
+        nc, nt = self.sig
+        for key in ((inner, nc, nt, "("), (inner, nc, nt)):
+            entry = self.reads.get(key)
+            if entry is not None and self._fits(*entry):
+                self.i = j + 1
+                t = entry[0]
+                return (t.ty, _P_TERM, t)
+        return None
+
+    def _fits(self, t, names) -> bool:
+        """Whether the group that read as ``t`` reads as ``t`` here too, and
+        if so, the effects reading it would have had.
+
+        Each name the group read outside itself must resolve here, as an
+        unannotated occurrence does, to exactly its type there, before
+        anything is unified; each other name must then unify with what it
+        resolves to, or be free and new.
+        """
+        if self.saved is not None and (not t.eval_free or t.has_hole):
+            return False  # a quotation refuses an evaluation; a hole sees another scope
+        scope, free = self.scope, self.free
+        found = []
+        for name, ty, outside in names:
+            stack = scope.get(name)
+            if stack:
+                cur, depth = stack[-1]
+            else:
+                cur = free.get(name)
+                depth = _NEW if cur is None else _FREE
+            if outside and (cur is None or not _is(cur, ty)):
+                return False
+            found.append((name, ty, cur, depth))
+        trail = self.trail
+        mark = len(trail)
+        for name, ty, cur, depth in found:
+            if cur is not None and cur is not ty:
+                try:
+                    _unify(cur, ty, trail)
+                except _UnifyFail:
+                    _undo(trail, mark)
+                    return False
+        for name, ty, cur, depth in found:
+            if cur is None:
+                cur = free[name] = ty
+            if depth < self.d0:
+                self.log.append((name, cur, depth))
+        return True
+
+    def _keep(self, inner, plan, d0, mark) -> tuple:
+        """The plan of the group ``inner`` just read, which began when
+        len(names) was ``d0`` and the log's length ``mark``: a built leaf,
+        kept in the memo, if every type in it is determined and it holds no
+        hole; ``plan`` otherwise, for the final ``_build``."""
+        try:
+            t = _build(plan)
+        except (_Unresolved, CqeError, RecursionError):
+            # undetermined here, refused, or too deep to build from inside
+            # the reader: the final build decides
+            return plan
+        if t.has_hole:
+            return plan  # its contents see a scope that depends on the context
+        names = {}
+        made = set()  # free variables made inside the group
+        for name, ety, depth in self.log[mark:]:
+            if depth >= d0:
+                continue  # bound inside the group
+            if depth == _NEW:
+                made.add(name)
+            outside = depth >= 0 or name not in made
+            names[name, _zonk(ety), outside] = None
+        key = (inner, *self.sig, "(")
+        reads = self.reads
+        self.kept.append((key, reads.get(key)))
+        reads[key] = (t, tuple(names))
+        return (t.ty, _P_TERM, t)
+
+    def forget(self):
+        """Take the groups this reader kept back out of the memo."""
+        reads = self.reads
+        for key, old in reversed(self.kept):
+            if old is None:
+                del reads[key]
+            else:
+                reads[key] = old
 
 
 def _build(plan) -> Term:
@@ -576,6 +776,8 @@ def _build(plan) -> Term:
     tag = plan[1]
     if tag == _P_APP:
         return Application(_build(plan[2]), _build(plan[3]))
+    if tag == _P_TERM:
+        return plan[2]
     if tag == _P_CONST:
         return Constant(plan[2], _zonk(plan[0]))
     if tag == _P_VAR:
@@ -606,28 +808,41 @@ def parse_type(text: str) -> HolType:
 def parse_term(text: str) -> Term:
     """The term that ``text`` reads as in the active session.
 
-    A text read once is not read again: the session keeps each term read
-    under (text, number of constants, number of type constructors).  The
-    signature only grows, so that key fixes everything a read depends on.
-    A refused text is not kept and raises on every call.
+    A text read once is not read again: the session keeps each term read,
+    with its free variables' types, under (text, number of constants,
+    number of type constructors).  The signature only grows, so that key
+    fixes everything a read depends on.
+
+    Each parenthesized group of more than one token is kept too, under (its
+    inner text, the same sizes, ``"("``), with its term and, for each name
+    it reads free, the name's type and whether something outside the group
+    supplied it: packrat parsing (Ford, ICFP 2002), made exact by checking
+    the context at each reuse (``_Reader._fits``).  A group entry never
+    answers ``parse_term``.  A refused text is not kept, nor are its groups,
+    and it raises on every call.
     """
     s = session.current()
     key = (text, len(s.constants), len(s.type_arities))
-    t = s.reads.get(key)
-    if t is None:
+    entry = s.reads.get(key)
+    if entry is None:
         reader = _Reader(text)
-        plan = reader.term()
-        reader.expect_eof()
-        if reader.error is not None:
-            raise reader.error
         try:
-            t = _build(plan)
-        except _Unresolved:
-            raise ElaborationError(
-                "could not infer a unique type; add an annotation"
-            ) from None
-        s.reads[key] = t
-    return t
+            plan = reader.term()
+            reader.expect_eof()
+            if reader.error is not None:
+                raise reader.error
+            try:
+                t = _build(plan)
+            except _Unresolved:
+                raise ElaborationError(
+                    "could not infer a unique type; add an annotation"
+                ) from None
+        except BaseException:
+            reader.forget()
+            raise
+        names = tuple([(name, _zonk(ety), False) for name, ety in reader.free.items()])
+        entry = s.reads[key] = (t, names)
+    return entry[0]
 
 
 # ---------------------------------------------------------------------------
@@ -648,8 +863,7 @@ def _pty(ty: HolType, atom_pos: bool) -> str:
         return "(" + s + ")" if atom_pos else s
     if not ty.arguments:
         return ty.constructor
-    # No surface syntax applies a type constructor to arguments; this
-    # rendering is for diagnostics only.
+    # the form the type reader reads back: (c t1 ... tn)
     return "(" + " ".join([ty.constructor] + [_pty(a, True) for a in ty.arguments]) + ")"
 
 

@@ -146,7 +146,9 @@ def BETA_CONV(tm: Term) -> Theorem:
 
 
 def PROVE_HYP(ath: Theorem, bth: Theorem) -> Theorem:
-    if any(alpha_equivalent(h, ath.concl) for h in bth.hyps):
+    # membership first: the search's length would otherwise depend on the
+    # set's order, which follows node addresses
+    if ath.concl in bth.hyps or any(alpha_equivalent(h, ath.concl) for h in bth.hyps):
         return EQ_MP(DEDUCT_ANTISYM(ath, bth), ath)
     return bth
 

@@ -47,7 +47,9 @@ class Session:
     # the intern tables of syntax: structure key -> the one node formed
     terms: dict = field(default_factory=dict, repr=False)
     types: dict = field(default_factory=dict, repr=False)
-    # parse_term's memo: (text, len(constants), len(type_arities)) -> term
+    # the reader's memo (see frontend.parse_term), each entry (term, names):
+    # (text, len(constants), len(type_arities)) for a whole text, and
+    # (text, len(constants), len(type_arities), "(") for a group's inside
     reads: dict = field(default_factory=dict, repr=False)
     serial: int = field(default_factory=_serials.__next__, repr=False)
 

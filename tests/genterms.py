@@ -212,3 +212,89 @@ def distinct_terms(gen: TermGen, count: int, **kw) -> list:
     if len(seen) < count:
         raise RuntimeError(f"generator too repetitive: {len(seen)}/{count}")
     return list(seen.values())
+
+
+class TextGen:
+    """Seeded reader texts, mostly well typed, for the read memo.
+
+    Unlike ``TermGen`` it writes text, and it reuses one name at several
+    types on purpose: ``x`` names a ``bool``, a ``num`` and an ``epsilon``.
+    Binders and free names come annotated or not, ``=`` at three types,
+    with quotations, holes, evaluations and numerals.  Each group it
+    writes may join a pool of recent groups, which later texts restate,
+    under other binders or as a whole text, so that the memo is exercised.
+    """
+
+    VARS = {"bool": ("p", "q", "x"), "num": ("n", "m", "x"), "eps": ("e", "c", "x")}
+    TYPES = {"bool": "bool", "num": "num", "eps": "epsilon"}
+    ATOMS = {
+        "bool": ("T", "F", "(f:(num->bool) n)", "(f n)", "((=) T)"),
+        "num": ("_0", "1", "2", "(SUC _0)", "(g:(bool->num) p)"),
+        "eps": ('(QuoVar "n" (TyBase "num"))', "Q_ n:num _Q", "Q_ T _Q"),
+    }
+
+    def __init__(self, seed: int):
+        self.rng = random.Random(seed)
+        self.pool: list = []  # (type, text inside the parentheses)
+
+    def var(self, ty: str) -> str:
+        r = self.rng
+        name = r.choice(self.VARS[ty])
+        if r.random() < 0.4:  # an annotation, now and then a wrong one
+            return name + ":" + (self.TYPES[ty] if r.random() < 0.93 else r.choice(["num", "bool"]))
+        return name
+
+    def form(self, ty: str, depth: int, quoted: bool = False) -> str:
+        r = self.rng
+        if depth <= 0 or r.random() < 0.15:
+            return self.var(ty) if r.random() < 0.5 else r.choice(self.ATOMS[ty])
+        c = r.random()
+        if c < 0.15 and quoted and ty != "eps":
+            return f"H_ {self.group('eps', depth - 1, False)} _H:{self.TYPES[ty]}"
+        if c < 0.25 and not quoted:
+            return f"eval {self.group('eps', depth - 1, quoted)} to {self.TYPES[ty]}"
+        if ty == "eps":
+            return f"Q_ {self.form(r.choice(['bool', 'num']), depth - 1, True)} _Q"
+        if ty == "num":
+            if c < 0.5:
+                return "SUC " + self.group("num", depth - 1, quoted)
+            if c < 0.7:
+                a, b = self.group("num", depth - 1, quoted), self.group("num", depth - 1, quoted)
+                return f"(+) {a} {b}"
+            body, arg = self.form("num", depth - 1, quoted), self.group("num", depth - 1, quoted)
+            return f"(\\{self.var('num')}. {body}) {arg}"
+        if c < 0.45:
+            side = r.choice(["num", "bool", "eps"])
+            a, b = self.group(side, depth - 1, quoted), self.group(side, depth - 1, quoted)
+            return f"{a} = {b}"
+        if c < 0.6:
+            a, b = self.group("bool", depth - 1, quoted), self.group("bool", depth - 1, quoted)
+            return " ".join([a, r.choice(["/\\", "\\/", "==>"]), b])
+        if c < 0.65:
+            return "~" + self.group("bool", depth - 1, quoted)
+        binder = r.choice(["!", "?", "\\"]) if ty == "bool" else "!"
+        return f"{binder}{self.var(r.choice(['num', 'bool']))}. {self.form('bool', depth - 1, quoted)}"
+
+    def group(self, ty: str, depth: int, quoted: bool) -> str:
+        r = self.rng
+        same = [text for t, text in self.pool if t == ty]
+        if same and r.random() < 0.35:
+            return "(" + r.choice(same) + ")"
+        inner = self.form(ty, depth, quoted)
+        if r.random() < 0.3:
+            self.pool = self.pool[-39:] + [(ty, inner)]
+        return "(" + inner + ")"
+
+    def text(self) -> str:
+        """A whole text: new, a pooled group's inside, or now and then one
+        with a stray token, a syntax error."""
+        r = self.rng
+        if self.pool and r.random() < 0.15:
+            text = r.choice(self.pool)[1]
+        else:
+            text = self.form(r.choice(["bool", "bool", "num", "eps"]), r.randint(1, 5))
+        if r.random() < 0.05:
+            words = text.split(" ")
+            words.insert(r.randrange(len(words)), r.choice(["=", ")", "(", ".", "to", "_Q"]))
+            text = " ".join(words)
+        return text

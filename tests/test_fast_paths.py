@@ -2,13 +2,15 @@
 their fast paths replaced.
 
 The reference oracles below are that code: the lexer's loop over one
-regular-expression match per token, with a group for keywords; the
+regular-expression match per token, with a group for keywords (and a
+search back for each ``)``'s open parenthesis); the
 foreign-node guard ``syntax._interned`` as an intern-table lookup;
 ``kernel._vsubst`` recursing into every part of an application; the
 s-expression reader over match objects; and ``cli._strip_comment``'s
 character loop.  The tests compare each with its replacement, and pin what
 the session's read memo must keep: an entry never outlives the signature
-it was read under, nor its session.
+it was read under, nor its session, and a group read from the memo reads
+as a fresh read of its text does.
 """
 
 import json
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from cqe import cli, kernel, session
+from cqe import cli, frontend, kernel, session
 from cqe.errors import CqeError, ElaborationError, IllTyped, KernelError, ParseError, SourceSpan
 from cqe.frontend import (
     _lex,
@@ -47,11 +49,12 @@ from cqe.syntax import (
     _interned,
     bool_ty,
     map_holes,
+    num_ty,
     subterms,
     variables_in,
 )
 
-from genterms import TermGen
+from genterms import TermGen, TextGen
 
 TESTS = Path(__file__).resolve().parent
 SCRIPTS = TESTS.parent / "src" / "cqe" / "scripts"
@@ -94,7 +97,13 @@ def lex_reference(text):
         starts.append(m.start(g))
         if kind == "EOF":
             break
-    return kinds, texts, starts
+    close = {}
+    for j, kind in enumerate(kinds):
+        if kind == ")":
+            opener = [i for i in range(j) if kinds[i] == "(" and i not in close]
+            if opener:
+                close[opener[-1]] = j
+    return kinds, texts, starts, close
 
 
 def interned_reference(node):
@@ -377,12 +386,99 @@ def test_a_type_constructor_invalidates_the_read_memo():
     assert print_term(parse_term("y:shape")) == "y:shape"
 
 
-@pytest.mark.parametrize("text", ["(x", "x = y = z", "\\x. x", "eval c to bool ="])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(x",
+        "x = y = z",
+        "\\x. x",
+        "eval c to bool =",
+        # groups that read, and are kept, before the text is refused
+        "(SUC _0) = = _0",
+        "((SUC _0) = _0) /\\ (p",
+        "((SUC _0) = _0) /\\ (q:num)",
+    ],
+)
 def test_a_refused_text_raises_on_every_call(text):
     first = _outcome(parse_term, text)
     assert first[0] in (ParseError, ElaborationError)
     assert _outcome(parse_term, text) == first
     assert session.current().reads == {}
+
+
+def test_a_group_entry_never_answers_a_whole_text():
+    f_num, f_bool = Variable("f", num_ty()), Variable("f", bool_ty())
+    parse_term("!f:num. SUC (z:num) = ((f))")  # keeps the group "(f)" with f bound
+    with pytest.raises(ElaborationError, match="could not infer a unique type"):
+        parse_term("(f)")
+    assert parse_term("\\f:bool. (f)") is Abstraction(f_bool, f_bool)
+    assert parse_term("\\f:bool. ((f))") is Abstraction(f_bool, f_bool)
+    assert parse_term("!f:num. ((f)) = z") is parse_term("!f:num. f = z:num")
+    assert Abstraction(f_num, f_num) is parse_term("\\f:num. ((f))")
+
+
+def test_a_group_with_an_evaluation_is_refused_inside_a_quotation():
+    texts = ["Q_ (eval x:epsilon to bool) _Q", "Q_ ((eval x:epsilon to bool)) _Q"]
+    want = [_outcome(parse_term, text) for text in texts]
+    assert all(w[0] is ParseError and "evaluation is not allowed" in w[1] for w in want)
+    session.reset()
+    read = parse_term("(eval x:epsilon to bool) /\\ T")  # keeps the group
+    assert parse_term("eval x:epsilon to bool") is read.fn.arg  # and the whole text
+    assert [_outcome(parse_term, text) for text in texts] == want
+
+
+def _fresh_outcome(text, monkeypatch):
+    """``parse_term``'s outcome with no memo: an empty table and no reuse."""
+    s = session.current()
+    reads, s.reads = s.reads, {}
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(frontend._Reader, "_reuse", lambda self, inner, j: None)
+            return _outcome(parse_term, text)
+    finally:
+        s.reads = reads
+
+
+def test_reuse_reads_every_text_as_a_fresh_read_does(monkeypatch):
+    counts = {"term": 0, "refused": 0, "reused": 0}
+    reuse = frontend._Reader._reuse
+
+    def counted(self, inner, j):
+        plan = reuse(self, inner, j)
+        counts["reused"] += plan is not None
+        return plan
+
+    monkeypatch.setattr(frontend._Reader, "_reuse", counted)
+    for seed in range(120):
+        session.reset()
+        gen = TextGen(seed)
+        declare_at = gen.rng.randrange(40)
+        for k in range(40):
+            if k == declare_at:  # a declaration partway through the sequence
+                if seed % 3 == 0:
+                    new_constant("k", num_ty())
+                elif seed % 3 == 1:
+                    new_constant("p", bool_ty())  # p is also a variable in TextGen
+                else:
+                    new_type_constructor("box", 1)
+            text = gen.text()
+            got = _outcome(parse_term, text)
+            want = _fresh_outcome(text, monkeypatch)
+            if isinstance(want, Term):
+                assert got is want, text
+                counts["term"] += 1
+            else:
+                assert got == want, text
+                counts["refused"] += 1
+    assert counts["term"] >= 2000 and counts["refused"] >= 1000, counts
+    assert counts["reused"] >= 1500, counts
+
+
+def test_deep_parentheses_read_with_kept_groups():
+    assert parse_term("(" * 900 + "T" + ")" * 900) is Constant("T", bool_ty())
+    assert parse_term("(" * 900 + "x = y:num" + ")" * 900) is parse_term("x = y:num")
+    with pytest.raises(ElaborationError, match="could not infer a unique type"):
+        parse_term("(" * 900 + "x = y" + ")" * 900)
 
 
 def test_reset_drops_the_read_memo():

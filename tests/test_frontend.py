@@ -1,5 +1,7 @@
 """Concrete syntax: lexing, parsing, elaboration, printing, and tree codecs."""
 
+import re
+
 import pytest
 
 from cqe import session
@@ -25,6 +27,7 @@ from cqe.frontend import (
 )
 from cqe.kernel import (
     ASSUME,
+    new_type_constructor,
     mk_conj,
     mk_disj,
     mk_eq,
@@ -207,6 +210,41 @@ def test_bad_type_constructor_is_a_parse_error_with_a_span(parse, text):
     with pytest.raises(ParseError) as info:
         parse(text)
     assert info.value.span is not None
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "v:(box bool)",
+        "v:(pair (box bool) num)",
+        "v:(box (box 'a))",
+        "v:((box bool)->(pair num (box bool)))",
+        "v:(pair 'a (bool->num))",
+    ],
+)
+def test_an_applied_type_constructor_reads_back_as_printed(text):
+    new_type_constructor("box", 1)
+    new_type_constructor("pair", 2)
+    t = parse_term(text)
+    assert print_term(t) == text
+    assert parse_term(print_term(t)) is t
+    assert parse_type(print_type(t.ty)) is t.ty
+
+
+@pytest.mark.parametrize(
+    "parse, text, message, start",
+    [
+        (parse_term, "x:box", "'box' expects 1 argument(s), got 0", (1, 2)),
+        (parse_type, "(box)", "'box' expects 1 argument(s), got 0", (1, 1)),
+        (parse_term, "x:(box bool num)", "'box' expects 1 argument(s), got 2", (1, 3)),
+        (parse_term, "x:(bool num)", "'bool' expects 0 argument(s), got 1", (1, 3)),
+    ],
+)
+def test_a_type_constructor_at_the_wrong_arity_is_refused_with_a_span(parse, text, message, start):
+    new_type_constructor("box", 1)
+    with pytest.raises(ParseError, match=re.escape(message)) as info:
+        parse(text)
+    assert info.value.span.start == start
 
 
 @pytest.mark.parametrize("text", ["x:'a = y:'b", "x:'a = y:num"])

@@ -283,6 +283,15 @@ def test_prove_hyp_and_subs():
     assert subbed.concl == mk_conj(q, q)
 
 
+def test_prove_hyp_discharges_a_hypothesis_equal_only_up_to_renaming():
+    y = Variable("y", num_ty())
+    ath = GEN(y, REFL(y))  # |- !y:num. y = y
+    bth = ASSUME(parse_term("!x:num. x = x"))
+    assert ath.concl not in bth.hyps and alpha_equivalent(ath.concl, bth.concl)
+    out = PROVE_HYP(ath, bth)
+    assert out.concl is bth.concl and out.hyps == frozenset()
+
+
 def test_mp_conj_disj():
     p, q = bv("p"), bv("q")
     imp = ASSUME(mk_imp(p, q))
