@@ -17,19 +17,21 @@ The surface language is a small HOL-style notation:
   on; string literals like ``"bool"`` are the names used by syntax
   constructors; numerals abbreviate ``SUC (SUC ... _0)`` on input only.
 
-``parse_term`` reads a text once per session and signature, and each
-parenthesized group in it once too, wherever the group's names resolve as
-they did: the session keeps what it read (see ``parse_term``).  One
-regular-expression scan lexes the input into parallel lists of token kinds,
-texts and offsets, and matches its parentheses; a keyword is an identifier
-found in a set, and ``line:col`` is worked out from an offset only for a
-message.  One reading pass then parses and elaborates together: a
-binding-power loop (Pratt, "Top down operator precedence", POPL 1973) reads
-one nesting level per frame, handling prefix forms, application and the
-infix connectives of ``_INFIX``, the table the printer also uses, and each
-form is elaborated into a plan as soon as it is read.  ``_build`` then
-makes the kernel term of the finished plan; a group kept in the memo is
-built at its ``)`` and is a leaf of that plan.
+``parse_term`` reads a text once per session and signature: the session
+keeps one memo of texts read, each with its term and its free names' types
+(see ``parse_term``).  A parenthesized group looks its inside up in that
+memo too, and reuses the term wherever those names resolve as they did; a
+group that read no name from outside itself reads as its text alone does,
+so it is kept there.  One regular-expression scan lexes the input into
+parallel lists of token kinds, texts and offsets, and matches its
+parentheses; a keyword is an identifier found in a set, and ``line:col`` is
+worked out from an offset only for a message.  One reading pass then parses
+and elaborates together: a binding-power loop (Pratt, "Top down operator
+precedence", POPL 1973) reads one nesting level per frame, handling prefix
+forms, application and the infix connectives of ``_INFIX``, the table the
+printer also uses, and each form is elaborated into a plan as soon as it is
+read.  ``_build`` then makes the kernel term of the finished plan; a group
+kept or reused is built already and is a leaf of that plan.
 
 Elaboration resolves identifier scoping and fills in types.  Its types are
 kernel types plus two frontend-only classes that the kernel never sees: a
@@ -334,15 +336,10 @@ def _instance(ty: HolType, metas: dict):
 #   (ty, _P_APP, fn plan, arg plan)   (ty, _P_NUM, value)
 #   (ty, _P_ABS, name, variable type, body plan)
 #   (ty, _P_QUOTE, body plan)   (ty, _P_HOLE, plan)   (ty, _P_EVAL, plan)
-#   (ty, _P_TERM, term)   -- a group already built, or taken from the memo
+#   (ty, _P_TERM, term)   -- a group built at its ``)``, or taken from the memo
 # A bound occurrence is a _P_VAR at its binder's type, so it builds the
 # binder's own (interned) Variable.
 _P_CONST, _P_VAR, _P_APP, _P_NUM, _P_ABS, _P_QUOTE, _P_HOLE, _P_EVAL, _P_TERM = range(9)
-
-# The depth of a name's resolution in the reader's log (see _Reader): a
-# binder's is len(names) where it binds; a free variable's is one of these.
-_FREE, _NEW = -1, -2  # an entry found in the free-variable table; one made
-
 
 class _Reader:
     """Parses a text and elaborates each form as soon as it is read.
@@ -351,12 +348,15 @@ class _Reader:
     held in ``error`` while reading goes on, so that a syntax error later in
     the text still wins; ``parse_term`` raises it once the input has ended.
 
-    A parenthesized group of more than one token is first looked up in the
-    session's read memo (``_reuse``).  On a miss it is read and, if no
-    elaboration error is held at its ``)``, kept (``_keep``); what is not
-    kept is built by the final ``_build``, so errors and their order are
-    those of a read without the memo.  Groups kept are listed in ``kept``
-    so that a refused text can take them back out (``forget``).
+    A parenthesized group of more than one token looks its inside up in the
+    session's read memo (``_reuse``).  On a miss it is read, and it is
+    closed if no name in it resolved outside it: the least depth its names
+    resolved to, ``low``, is still len(names) at its ``)``.  A closed group
+    read with no elaboration error held reads as its text alone does, so it
+    is kept (``_keep``); what is not kept is built by the final ``_build``,
+    so errors and their order are those of a read without the memo.  Keys
+    kept are listed in ``kept`` so that a refused text can take them back
+    out (``forget``).
     """
 
     def __init__(self, text):
@@ -373,12 +373,10 @@ class _Reader:
         # binder's depth is len(names) where it binds
         self.scope = {}
         self.names = []  # names of the binders in scope, innermost last
-        # (name, elaboration type, depth) of each resolution that may lie
-        # outside the innermost open group: depth < d0, where d0 is
-        # len(names) when that group began, or _NEW when none is open
-        self.log = []
-        self.d0 = _NEW
-        self.kept = []  # (memo key, the entry it replaced or None)
+        # the least depth a name read inside the innermost open group
+        # resolved to: its binder's, or -1 for a free name
+        self.low = -1
+        self.kept = []  # the memo keys of the groups kept
         self.trail = []
         # len(names) at the outermost open quotation; None outside any
         # quotation and directly inside a hole
@@ -524,15 +522,13 @@ class _Reader:
                             lhs = self.term()
                             self.expect(")", ")")
                         else:
-                            outer, d0, mark = self.d0, len(self.names), len(self.log)
-                            self.d0 = d0
+                            outer, self.low = self.low, len(self.names)
                             lhs = self.term()
                             self.expect(")", ")")
-                            self.d0 = outer
-                            if self.error is None:
-                                lhs = self._keep(inner, lhs, d0, mark)
-                            if outer < 0:
-                                del self.log[mark:]  # no open group needs it
+                            if self.low == len(self.names) and self.error is None:
+                                lhs = self._keep(inner, lhs)
+                            if outer < self.low:
+                                self.low = outer
             elif kind == "NUMERAL":
                 self.i = i + 1
                 if "_0" not in self.constants or "SUC" not in self.constants:
@@ -654,8 +650,8 @@ class _Reader:
                 except _UnifyFail:
                     _undo(self.trail, mark)
                     continue  # annotation escapes this binder; look outward
-            if depth < self.d0:
-                self.log.append((name, vty, depth))
+            if depth < self.low:
+                self.low = depth
             return (vty, _P_VAR, name)
         generic = self.constants.get(name)
         if generic is not None:
@@ -664,80 +660,54 @@ class _Reader:
             if ann is not None and ann is not ety:
                 self._unify_at(ety, ann, off, f"annotation does not fit constant {name!r}")
             return (ety, _P_CONST, name)
+        self.low = -1
         ety = self.free.get(name)
         if ety is None:
             ety = self.free[name] = ann if ann is not None else _Meta()
-            depth = _NEW
-        else:
-            if ann is not None:
-                self._unify_at(ety, ann, off, f"conflicting types for free variable {name!r}")
-            depth = _FREE
-        if depth < self.d0:
-            self.log.append((name, ety, depth))
+        elif ann is not None:
+            self._unify_at(ety, ann, off, f"conflicting types for free variable {name!r}")
         return (ety, _P_VAR, name)
 
     # -- the group memo -----------------------------------------------------
 
     def _reuse(self, inner, j):
         """The plan of the group whose text is ``inner`` and whose ``)`` is
-        token ``j``, from a memo entry that fits here; None if none does.
+        token ``j``, from the memo entry of that text if it reads so here;
+        None if not.
 
-        A group entry is tried first, then a whole-text entry, whose names
-        are all its own free variables.
+        Each name the entry lists must resolve here, as an unannotated
+        occurrence does, to exactly its type there, or be neither bound nor
+        free, and it then enters the free table at that type.  Nothing is
+        unified: a mismatch is a miss, and the group is read.
         """
-        nc, nt = self.sig
-        for key in ((inner, nc, nt, "("), (inner, nc, nt)):
-            entry = self.reads.get(key)
-            if entry is not None and self._fits(*entry):
-                self.i = j + 1
-                t = entry[0]
-                return (t.ty, _P_TERM, t)
-        return None
-
-    def _fits(self, t, names) -> bool:
-        """Whether the group that read as ``t`` reads as ``t`` here too, and
-        if so, the effects reading it would have had.
-
-        Each name the group read outside itself must resolve here, as an
-        unannotated occurrence does, to exactly its type there, before
-        anything is unified; each other name must then unify with what it
-        resolves to, or be free and new.
-        """
+        entry = self.reads.get((inner, *self.sig))
+        if entry is None:
+            return None
+        t, names = entry
         if self.saved is not None and (not t.eval_free or t.has_hole):
-            return False  # a quotation refuses an evaluation; a hole sees another scope
+            return None  # a quotation refuses an evaluation; a hole sees another scope
         scope, free = self.scope, self.free
-        found = []
-        for name, ty, outside in names:
+        low = self.low
+        new = []
+        for name, ty in names:
             stack = scope.get(name)
-            if stack:
-                cur, depth = stack[-1]
-            else:
-                cur = free.get(name)
-                depth = _NEW if cur is None else _FREE
-            if outside and (cur is None or not _is(cur, ty)):
-                return False
-            found.append((name, ty, cur, depth))
-        trail = self.trail
-        mark = len(trail)
-        for name, ty, cur, depth in found:
-            if cur is not None and cur is not ty:
-                try:
-                    _unify(cur, ty, trail)
-                except _UnifyFail:
-                    _undo(trail, mark)
-                    return False
-        for name, ty, cur, depth in found:
+            cur, depth = stack[-1] if stack else (free.get(name), -1)
             if cur is None:
-                cur = free[name] = ty
-            if depth < self.d0:
-                self.log.append((name, cur, depth))
-        return True
+                new.append((name, ty))
+            elif not _is(cur, ty):
+                return None
+            elif depth < low:
+                low = depth
+        free.update(new)
+        self.low = -1 if new else low
+        self.i = j + 1
+        return (t.ty, _P_TERM, t)
 
-    def _keep(self, inner, plan, d0, mark) -> tuple:
-        """The plan of the group ``inner`` just read, which began when
-        len(names) was ``d0`` and the log's length ``mark``: a built leaf,
-        kept in the memo, if every type in it is determined and it holds no
-        hole; ``plan`` otherwise, for the final ``_build``."""
+    def _keep(self, inner, plan) -> tuple:
+        """The plan of the closed group ``inner`` just read: a built leaf,
+        kept in the memo unless its text has an entry there, if every type
+        in it is determined and it holds no hole; ``plan`` otherwise, for
+        the final ``_build``."""
         try:
             t = _build(plan)
         except (_Unresolved, CqeError, RecursionError):
@@ -746,29 +716,16 @@ class _Reader:
             return plan
         if t.has_hole:
             return plan  # its contents see a scope that depends on the context
-        names = {}
-        made = set()  # free variables made inside the group
-        for name, ety, depth in self.log[mark:]:
-            if depth >= d0:
-                continue  # bound inside the group
-            if depth == _NEW:
-                made.add(name)
-            outside = depth >= 0 or name not in made
-            names[name, _zonk(ety), outside] = None
-        key = (inner, *self.sig, "(")
-        reads = self.reads
-        self.kept.append((key, reads.get(key)))
-        reads[key] = (t, tuple(names))
+        key = (inner, *self.sig)
+        if key not in self.reads:
+            self.reads[key] = (t, ())
+            self.kept.append(key)
         return (t.ty, _P_TERM, t)
 
     def forget(self):
         """Take the groups this reader kept back out of the memo."""
-        reads = self.reads
-        for key, old in reversed(self.kept):
-            if old is None:
-                del reads[key]
-            else:
-                reads[key] = old
+        for key in self.kept:
+            del self.reads[key]
 
 
 def _build(plan) -> Term:
@@ -800,7 +757,10 @@ def _build(plan) -> Term:
 
 def parse_type(text: str) -> HolType:
     reader = _Reader(text)
-    ty = reader.type_()
+    try:
+        ty = reader.type_()
+    except RecursionError:
+        raise ParseError("input is nested too deeply") from None
     reader.expect_eof()
     return ty
 
@@ -809,17 +769,17 @@ def parse_term(text: str) -> Term:
     """The term that ``text`` reads as in the active session.
 
     A text read once is not read again: the session keeps each term read,
-    with its free variables' types, under (text, number of constants,
-    number of type constructors).  The signature only grows, so that key
-    fixes everything a read depends on.
+    with each free variable's name and type, under (text, number of
+    constants, number of type constructors).  The signature only grows, so
+    that key fixes everything a read depends on.
 
-    Each parenthesized group of more than one token is kept too, under (its
-    inner text, the same sizes, ``"("``), with its term and, for each name
-    it reads free, the name's type and whether something outside the group
-    supplied it: packrat parsing (Ford, ICFP 2002), made exact by checking
-    the context at each reuse (``_Reader._fits``).  A group entry never
-    answers ``parse_term``.  A refused text is not kept, nor are its groups,
-    and it raises on every call.
+    A parenthesized group of more than one token looks its inside up under
+    the same key, and reuses the term where each of those names resolves as
+    it did, or is new (packrat parsing; Ford, ICFP 2002).  A group that
+    reads no name from outside itself reads exactly as its text alone does,
+    so it is kept under its inside, with no names, and answers
+    ``parse_term`` of that text too; it never replaces an entry.  A refused
+    text is not kept, nor are its groups, and it raises on every call.
     """
     s = session.current()
     key = (text, len(s.constants), len(s.type_arities))
@@ -831,16 +791,15 @@ def parse_term(text: str) -> Term:
             reader.expect_eof()
             if reader.error is not None:
                 raise reader.error
-            try:
-                t = _build(plan)
-            except _Unresolved:
-                raise ElaborationError(
-                    "could not infer a unique type; add an annotation"
-                ) from None
-        except BaseException:
+            t = _build(plan)
+        except BaseException as e:
             reader.forget()
+            if type(e) is _Unresolved:
+                raise ElaborationError("could not infer a unique type; add an annotation") from None
+            if type(e) is RecursionError:
+                raise ParseError("input is nested too deeply") from None
             raise
-        names = tuple([(name, _zonk(ety), False) for name, ety in reader.free.items()])
+        names = tuple([(name, _zonk(ety)) for name, ety in reader.free.items()])
         entry = s.reads[key] = (t, names)
     return entry[0]
 
@@ -881,11 +840,6 @@ def print_theorem(th) -> str:
     return lead + "|- " + print_term(th.concl)
 
 
-def _print(t: Term, req: int, env: tuple, live) -> str:
-    s, lvl = _render(t, env, live)
-    return "(" + s + ")" if lvl < req else s
-
-
 def _const_atom(t: Constant) -> str:
     if _is_name_literal(t.name):
         return t.name
@@ -896,60 +850,52 @@ def _const_atom(t: Constant) -> str:
     return base
 
 
-def _render(t: Term, env: tuple, live) -> tuple:
+def _print(t: Term, req: int, env: tuple, live) -> str:
+    """The text of ``t``, in parentheses when its grammar level is looser
+    than ``req``; one frame per nesting level.  ``env`` holds the binders
+    in scope, and ``live`` their number outside the open quotations."""
     if isinstance(t, Variable):
         for v in reversed(env):
             if v.name == t.name:
                 if v == t:
-                    return t.name, _ATOM
+                    return t.name
                 break
-        return t.name + _tyann(t.ty), _ATOM
+        return t.name + _tyann(t.ty)
     if isinstance(t, Constant):
-        return _const_atom(t), _ATOM
+        return _const_atom(t)
+    binder = None
     if isinstance(t, Application):
         fn, arg = t.fn, t.arg
+        entry = None
         if isinstance(fn, Application) and isinstance(fn.fn, Constant):
             entry = _INFIX.get(fn.fn.name)
-            if entry is not None:
-                lvl, lreq, rreq = entry
-                s = (
-                    _print(fn.arg, lreq, env, live)
-                    + " "
-                    + fn.fn.name
-                    + " "
-                    + _print(arg, rreq, env, live)
-                )
-                return s, lvl
-        if isinstance(fn, Constant) and fn.name == "~":
-            return "~" + _print(arg, _NEG, env, live), _NEG
-        if (
-            isinstance(fn, Constant)
-            and fn.name in ("!", "?")
-            and isinstance(arg, Abstraction)
-        ):
-            return _binder_form(fn.name, arg, env, live), _TERM
-        s = _print(fn, _APP, env, live) + " " + _print(arg, _ATOM, env, live)
-        return s, _APP
-    if isinstance(t, Abstraction):
-        return _binder_form("\\", t, env, live), _TERM
-    if isinstance(t, Quotation):
+        if entry is not None:
+            lvl, lreq, rreq = entry
+            s = f"{_print(fn.arg, lreq, env, live)} {fn.fn.name} {_print(arg, rreq, env, live)}"
+        elif isinstance(fn, Constant) and fn.name == "~":
+            s, lvl = "~" + _print(arg, _NEG, env, live), _NEG
+        elif isinstance(fn, Constant) and fn.name in ("!", "?") and isinstance(arg, Abstraction):
+            binder = fn.name, arg
+        else:
+            s = _print(fn, _APP, env, live) + " " + _print(arg, _ATOM, env, live)
+            lvl = _APP
+    elif isinstance(t, Abstraction):
+        binder = "\\", t
+    elif isinstance(t, Quotation):
         inner_live = len(env) if live is None else live
-        return "Q_ " + _print(t.body, _TERM, env, inner_live) + " _Q", _ATOM
-    if isinstance(t, Hole):
+        return "Q_ " + _print(t.body, _TERM, env, inner_live) + " _Q"
+    elif isinstance(t, Hole):
         content = _print(t.content, _TERM, env[:live], None)
-        return "H_ " + content + " _H" + _tyann(t.slot_type), _ATOM
-    if isinstance(t, Evaluation):
-        s = "eval " + _print(t.content, _APP, env, live) + " to " + _pty(
-            t.result_type, True
-        )
-        return s, _COMB
-    raise AssertionError(f"unhandled term {t!r}")
-
-
-def _binder_form(op: str, abs_t: Abstraction, env: tuple, live) -> str:
-    v = abs_t.var
-    body = _print(abs_t.body, _TERM, env + (v,), live)
-    return f"{op}{v.name}{_tyann(v.ty)}. {body}"
+        return "H_ " + content + " _H" + _tyann(t.slot_type)
+    else:
+        s = f"eval {_print(t.content, _APP, env, live)} to {_pty(t.result_type, True)}"
+        lvl = _COMB
+    if binder is not None:
+        op, abs_t = binder
+        v = abs_t.var
+        body = _print(abs_t.body, _TERM, env + (v,), live)
+        s, lvl = f"{op}{v.name}{_tyann(v.ty)}. {body}", _TERM
+    return "(" + s + ")" if lvl < req else s
 
 
 # ---------------------------------------------------------------------------

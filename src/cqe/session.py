@@ -21,7 +21,6 @@ tables hold exactly the nodes stamped with its own serial or the template's.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 _BASE_ARITIES = {
     "bool": 0,
@@ -35,29 +34,30 @@ _BASE_ARITIES = {
 _serials = itertools.count()
 
 
-@dataclass
 class Session:
-    type_arities: dict = field(default_factory=dict)
-    constants: dict = field(default_factory=dict)
-    axioms: dict = field(default_factory=dict)
-    definitions: dict = field(default_factory=dict)
-    theorems: dict = field(default_factory=dict)
-    basis: dict = field(default_factory=dict)
-    nei_registry: dict = field(default_factory=dict)
-    # the intern tables of syntax: structure key -> the one node formed
-    terms: dict = field(default_factory=dict, repr=False)
-    types: dict = field(default_factory=dict, repr=False)
-    # the reader's memo (see frontend.parse_term), each entry (term, names):
-    # (text, len(constants), len(type_arities)) for a whole text, and
-    # (text, len(constants), len(type_arities), "(") for a group's inside
-    reads: dict = field(default_factory=dict, repr=False)
-    serial: int = field(default_factory=_serials.__next__, repr=False)
+    def __init__(self):
+        self.type_arities = {}
+        self.constants = {}
+        self.axioms = {}
+        self.definitions = {}
+        self.theorems = {}
+        self.basis = {}
+        self.nei_registry = {}
+        # the intern tables of syntax: structure key -> the one node formed
+        self.terms = {}
+        self.types = {}
+        # the reader's memo (see frontend.parse_term): (text,
+        # len(constants), len(type_arities)) -> (term, names), where names
+        # lists each free variable of the text with its type; a closed
+        # group's inside is kept there too, with no names
+        self.reads = {}
+        self.serial = next(_serials)
 
     def copy(self) -> "Session":
         """A new session, with its own serial, starting from these tables."""
-        return Session(
-            **{name: dict(table) for name, table in vars(self).items() if name != "serial"}
-        )
+        s = Session()
+        vars(s).update({name: dict(t) for name, t in vars(self).items() if name != "serial"})
+        return s
 
 
 _current = None

@@ -220,9 +220,11 @@ class TextGen:
     Unlike ``TermGen`` it writes text, and it reuses one name at several
     types on purpose: ``x`` names a ``bool``, a ``num`` and an ``epsilon``.
     Binders and free names come annotated or not, ``=`` at three types,
-    with quotations, holes, evaluations and numerals.  Each group it
-    writes may join a pool of recent groups, which later texts restate,
-    under other binders or as a whole text, so that the memo is exercised.
+    with quotations, holes, evaluations and numerals.  Some groups are
+    closed: their leaves are constants or names bound inside them.  Each
+    group it writes, and each whole text, may join a pool, which later
+    texts restate as groups, under other binders, or as a whole text, so
+    that the memo is exercised.
     """
 
     VARS = {"bool": ("p", "q", "x"), "num": ("n", "m", "x"), "eps": ("e", "c", "x")}
@@ -232,10 +234,17 @@ class TextGen:
         "num": ("_0", "1", "2", "(SUC _0)", "(g:(bool->num) p)"),
         "eps": ('(QuoVar "n" (TyBase "num"))', "Q_ n:num _Q", "Q_ T _Q"),
     }
+    CLOSED_ATOMS = {
+        "bool": ("T", "F", "((=) T)"),
+        "num": ("_0", "1", "(SUC _0)"),
+        "eps": ('(QuoVar "n" (TyBase "num"))', "Q_ T _Q"),
+    }
 
     def __init__(self, seed: int):
         self.rng = random.Random(seed)
         self.pool: list = []  # (type, text inside the parentheses)
+        self.bound: list = []  # (name, type) of the binders written, innermost last
+        self.closed = False  # whether the group being written is closed
 
     def var(self, ty: str) -> str:
         r = self.rng
@@ -244,10 +253,16 @@ class TextGen:
             return name + ":" + (self.TYPES[ty] if r.random() < 0.93 else r.choice(["num", "bool"]))
         return name
 
+    def leaf(self, ty: str) -> str:
+        r = self.rng
+        if self.closed:
+            return r.choice([n for n, t in self.bound if t == ty] + list(self.CLOSED_ATOMS[ty]))
+        return self.var(ty) if r.random() < 0.5 else r.choice(self.ATOMS[ty])
+
     def form(self, ty: str, depth: int, quoted: bool = False) -> str:
         r = self.rng
         if depth <= 0 or r.random() < 0.15:
-            return self.var(ty) if r.random() < 0.5 else r.choice(self.ATOMS[ty])
+            return self.leaf(ty)
         c = r.random()
         if c < 0.15 and quoted and ty != "eps":
             return f"H_ {self.group('eps', depth - 1, False)} _H:{self.TYPES[ty]}"
@@ -273,26 +288,39 @@ class TextGen:
         if c < 0.65:
             return "~" + self.group("bool", depth - 1, quoted)
         binder = r.choice(["!", "?", "\\"]) if ty == "bool" else "!"
-        return f"{binder}{self.var(r.choice(['num', 'bool']))}. {self.form('bool', depth - 1, quoted)}"
+        vty = r.choice(["num", "bool"])
+        v = self.var(vty)
+        self.bound.append((v.split(":")[0], vty))
+        body = self.form("bool", depth - 1, quoted)
+        self.bound.pop()
+        return f"{binder}{v}. {body}"
 
     def group(self, ty: str, depth: int, quoted: bool) -> str:
         r = self.rng
         same = [text for t, text in self.pool if t == ty]
         if same and r.random() < 0.35:
             return "(" + r.choice(same) + ")"
+        outer = self.closed, self.bound
+        closing = not self.closed and r.random() < 0.2  # a closed group, always pooled
+        if closing:
+            self.closed, self.bound = True, []
         inner = self.form(ty, depth, quoted)
-        if r.random() < 0.3:
+        self.closed, self.bound = outer
+        if closing or r.random() < 0.3:
             self.pool = self.pool[-39:] + [(ty, inner)]
         return "(" + inner + ")"
 
     def text(self) -> str:
-        """A whole text: new, a pooled group's inside, or now and then one
-        with a stray token, a syntax error."""
+        """A whole text: new, a pooled one, or now and then one with a stray
+        token, a syntax error.  A new text may join the pool."""
         r = self.rng
         if self.pool and r.random() < 0.15:
             text = r.choice(self.pool)[1]
         else:
-            text = self.form(r.choice(["bool", "bool", "num", "eps"]), r.randint(1, 5))
+            ty = r.choice(["bool", "bool", "num", "eps"])
+            text = self.form(ty, r.randint(1, 5))
+            if r.random() < 0.3:
+                self.pool = self.pool[-39:] + [(ty, text)]
         if r.random() < 0.05:
             words = text.split(" ")
             words.insert(r.randrange(len(words)), r.choice(["=", ")", "(", ".", "to", "_Q"]))

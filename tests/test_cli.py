@@ -4,10 +4,13 @@ import gc
 import io
 import os
 import re
+import subprocess
+import sys
 import types
 
 import pytest
 
+import cqe
 from cqe import kernel, logic, session
 from cqe.cli import RULE_SIGS, Runner, _parser, _rule_sigs, main
 from cqe.errors import ScriptError
@@ -192,14 +195,25 @@ def test_nested_parentheses_within_the_depth_limit_check(tmp_path, capsys):
 
 @pytest.mark.parametrize("fmt", ["sexp", "json-like"])
 def test_export_of_a_too_deep_theorem_is_a_typed_error(tmp_path, capsys, fmt):
-    conj = " /\\ ".join(["(v0:num = v0)"] * 500)
-    path = write(tmp_path, f"# deep\nthm r := (REFL `{conj}`)\n")
+    out = str(tmp_path / "out.txt")
+    # export takes every theorem that check reads from one text
+    for n in (500, 900):
+        conj = " /\\ ".join(["(v0:num = v0)"] * n)
+        path = write(tmp_path, f"thm r := (REFL `{conj}`)\n")
+        assert main(["check", path]) == 0
+        assert main(["export", path, "--out", out, "--format", fmt]) == 0
+        capsys.readouterr()
+    # INST builds a theorem deeper than any text check reads
+    conj = " /\\ ".join(["(v0:num = v0)"] * 600)
+    path = write(
+        tmp_path,
+        f"# deep\nthm r := (REFL `{conj} /\\ p:bool`)\nthm d := (INST `p:bool` `{conj}` r)\n",
+    )
     assert main(["check", path]) == 0
     capsys.readouterr()
-    out = str(tmp_path / "out.txt")
     assert main(["export", path, "--out", out, "--format", fmt]) == 1
     err = capsys.readouterr().err
-    assert err == f"{path}:2: error: input is nested too deeply\n"
+    assert err == f"{path}:3: error: input is nested too deeply\n"
 
 
 
@@ -606,3 +620,17 @@ def test_runner_raises_script_error_with_line():
     with pytest.raises(ScriptError) as info:
         runner.run_text("\n\nthm r := (REFL `T` )\nnonsense command\n")
     assert info.value.line == 4
+
+
+def test_importing_cqe_leaves_dataclasses_out():
+    # dataclasses pulls in inspect, ast, dis and tokenize: startup cost that
+    # every `cqe check` process would pay
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cqe.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, cqe; print('dataclasses' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out == "False\n"

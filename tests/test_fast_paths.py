@@ -9,8 +9,9 @@ foreign-node guard ``syntax._interned`` as an intern-table lookup;
 s-expression reader over match objects; and ``cli._strip_comment``'s
 character loop.  The tests compare each with its replacement, and pin what
 the session's read memo must keep: an entry never outlives the signature
-it was read under, nor its session, and a group read from the memo reads
-as a fresh read of its text does.
+it was read under, nor its session, a group is kept only when it reads no
+name from outside itself, and a group read from the memo reads as a fresh
+read of it does.
 """
 
 import json
@@ -54,7 +55,8 @@ from cqe.syntax import (
     variables_in,
 )
 
-from genterms import TermGen, TextGen
+import fuzz_reader
+from genterms import TermGen
 
 TESTS = Path(__file__).resolve().parent
 SCRIPTS = TESTS.parent / "src" / "cqe" / "scripts"
@@ -406,9 +408,70 @@ def test_a_refused_text_raises_on_every_call(text):
     assert session.current().reads == {}
 
 
-def test_a_group_entry_never_answers_a_whole_text():
+def _reuse_hits(monkeypatch) -> list:
+    """The inner text of each group read from the memo from now on."""
+    hits = []
+    reuse = frontend._Reader._reuse
+
+    def spy(self, inner, j):
+        plan = reuse(self, inner, j)
+        if plan is not None:
+            hits.append(inner)
+        return plan
+
+    monkeypatch.setattr(frontend._Reader, "_reuse", spy)
+    return hits
+
+
+def _key(text):
+    s = session.current()
+    return (text, len(s.constants), len(s.type_arities))
+
+
+def test_a_closed_group_is_kept_and_answers_its_text(monkeypatch):
+    reads = session.current().reads
+    parse_term("\\x:num. ((SUC _0) = x)")
+    # (SUC _0) reads no name from outside itself; its outer group reads x
+    assert set(reads) == {_key("\\x:num. ((SUC _0) = x)"), _key("SUC _0")}
+    suc0 = parse_term("SUC _0")
+    assert reads[_key("SUC _0")] == (suc0, ()) and len(reads) == 2
+    hits = _reuse_hits(monkeypatch)
+    parse_term("(SUC _0) = _0")
+    assert hits == ["SUC _0"]
+
+
+def test_a_text_with_a_free_name_is_reused_where_the_name_reads_alike(monkeypatch):
+    reads = session.current().reads
+    parse_term("x = 1")
+    assert reads[_key("x = 1")][1] == (("x", num_ty()),)
+    hits = _reuse_hits(monkeypatch)
+    # x bound at num, free at num, or neither: reused
+    for text in ("\\x:num. (x = 1) /\\ T", "x:num = 2 /\\ (x = 1)", "(x = 1) /\\ (\\y. T) x"):
+        parse_term(text)
+    assert hits == ["x = 1"] * 3
+    # where x was new, the later x got num from the entry, and so did y
+    y = Variable("y", num_ty())
+    assert parse_term("(x = 1) /\\ (\\y. T) x").arg.fn is Abstraction(y, parse_term("T"))
+    # x bound at another type, or at one not yet known, or free at one not
+    # yet known: read
+    hits.clear()
+    with pytest.raises(ElaborationError):
+        parse_term("\\x:bool. (x = 1) /\\ T")
+    parse_term("\\x. (x = 1) /\\ T")
+    parse_term("x = x /\\ (x = 1)")
+    assert hits == []
+    # a group holding such a reuse reads a name from outside itself
+    for text in ("\\x:num. ((x = 1) /\\ T)", "((x = 1) /\\ T) /\\ F"):
+        parse_term(text)
+        assert _key("(x = 1) /\\ T") not in reads
+    with pytest.raises(ElaborationError):
+        parse_term("\\x:bool. ((x = 1) /\\ T)")
+
+
+def test_a_group_that_reads_an_outside_name_is_never_kept():
     f_num, f_bool = Variable("f", num_ty()), Variable("f", bool_ty())
-    parse_term("!f:num. SUC (z:num) = ((f))")  # keeps the group "(f)" with f bound
+    parse_term("!f:num. SUC (z:num) = ((f))")  # the group "(f)" reads the bound f
+    assert _key("(f)") not in session.current().reads
     with pytest.raises(ElaborationError, match="could not infer a unique type"):
         parse_term("(f)")
     assert parse_term("\\f:bool. (f)") is Abstraction(f_bool, f_bool)
@@ -427,51 +490,15 @@ def test_a_group_with_an_evaluation_is_refused_inside_a_quotation():
     assert [_outcome(parse_term, text) for text in texts] == want
 
 
-def _fresh_outcome(text, monkeypatch):
-    """``parse_term``'s outcome with no memo: an empty table and no reuse."""
-    s = session.current()
-    reads, s.reads = s.reads, {}
-    try:
-        with monkeypatch.context() as m:
-            m.setattr(frontend._Reader, "_reuse", lambda self, inner, j: None)
-            return _outcome(parse_term, text)
-    finally:
-        s.reads = reads
-
-
 def test_reuse_reads_every_text_as_a_fresh_read_does(monkeypatch):
-    counts = {"term": 0, "refused": 0, "reused": 0}
-    reuse = frontend._Reader._reuse
-
-    def counted(self, inner, j):
-        plan = reuse(self, inner, j)
-        counts["reused"] += plan is not None
-        return plan
-
-    monkeypatch.setattr(frontend._Reader, "_reuse", counted)
+    hits = _reuse_hits(monkeypatch)
+    counts = {"term": 0, "refused": 0}
     for seed in range(120):
-        session.reset()
-        gen = TextGen(seed)
-        declare_at = gen.rng.randrange(40)
-        for k in range(40):
-            if k == declare_at:  # a declaration partway through the sequence
-                if seed % 3 == 0:
-                    new_constant("k", num_ty())
-                elif seed % 3 == 1:
-                    new_constant("p", bool_ty())  # p is also a variable in TextGen
-                else:
-                    new_type_constructor("box", 1)
-            text = gen.text()
-            got = _outcome(parse_term, text)
-            want = _fresh_outcome(text, monkeypatch)
-            if isinstance(want, Term):
-                assert got is want, text
-                counts["term"] += 1
-            else:
-                assert got == want, text
-                counts["refused"] += 1
+        for text, got, want in fuzz_reader.sequence(seed):
+            assert fuzz_reader.same(got, want), text
+            counts["term" if isinstance(want, Term) else "refused"] += 1
     assert counts["term"] >= 2000 and counts["refused"] >= 1000, counts
-    assert counts["reused"] >= 1500, counts
+    assert len(hits) >= 1500, len(hits)
 
 
 def test_deep_parentheses_read_with_kept_groups():

@@ -285,6 +285,22 @@ def test_binder_cannot_shadow_constant():
         parse_term("\\T:bool. T")
 
 
+def test_too_deep_input_is_a_typed_error():
+    def binders(n):
+        return "".join(f"(!x{i}:num. x{i} = x{i} /\\ " for i in range(n)) + "T" + ")" * n
+
+    parse_term(binders(200))
+    reads = dict(session.current().reads)
+    for text in (binders(250), binders(400)):
+        for _ in range(2):
+            with pytest.raises(ParseError, match="^input is nested too deeply$"):
+                parse_term(text)
+        assert session.current().reads == reads
+    for text in ("(" * 2000 + "bool" + ")" * 2000, "bool->" * 2000 + "bool"):
+        with pytest.raises(ParseError, match="^input is nested too deeply$"):
+            parse_type(text)
+
+
 # Observable parser behaviour, pinned: every malformed input's exception
 # class, exact message and span start (None where the error has no span).
 _MALFORMED = [
