@@ -317,6 +317,47 @@ def test_wrong_arity_rejected(tmp_path, capsys):
     assert main(["check", path]) == 1
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("thm a := (REFL $)", "bad character '$' in proof expression"),
+        ("thm a := (REFL 1x)", "bad character '1' in proof expression"),
+        ("thm a := (REFL (SYM TRUTH)", "unclosed '(' in proof expression"),
+        ("thm a := (REFL `T`) (SYM a)", "trailing input after proof expression"),
+        ("thm a := (REFL `T`) )", "trailing input after proof expression"),
+        ("thm a := ()", "expected a rule name after '('"),
+        ("thm a := (`T`)", "expected a rule name after '('"),
+        ("thm a := (REFL ())", "expected a rule name after '('"),
+        ("thm a := (REFL `T` `F`)", "REFL takes 1 arguments, got 2"),
+        ("thm a := (DISQUO)", "DISQUO takes 1 to 2 arguments, got 0"),
+        ("thm a := (MP (REFL `T`) (SYM (REFL)))", "REFL takes 1 arguments, got 0"),
+        ("thm a := (SYM `T`)", "SYM: expected a theorem, got `T`"),
+        ("thm a := (REFL TRUTH)", "REFL: expected a quoted term"),
+        ("thm a := (ASSUME (REFL `T`))", "ASSUME: expected a quoted term"),
+        ("thm a := (INST (REFL `T`) `T` TRUTH)", "INST: expected a quoted variable"),
+        ("thm a := (FROBNICATE `T`)", "unknown rule 'FROBNICATE'"),
+        ("thm a := (SYM missing)", "no theorem named 'missing'"),
+        ("check missing matches `T`", "no theorem named 'missing'"),
+        ("register_nei missing", "no theorem named 'missing'"),
+        ("thm a := (GEN `T` TRUTH)", "GEN: expected a variable, got T"),
+        ("thm a := (INST `p:bool` `T` `q:bool` TRUTH)",
+         "INST takes variable/replacement pairs and then a theorem"),
+        ("thm a := (INST_TYPE `bool` `num` TRUTH)", "INST_TYPE: expected a type variable, got bool"),
+        ("thm a := (REFL `T /\\`)", "in `T /\\`: expected a term (at 'end of input', 1:4)"),
+        ("thm a := (INST_TYPE `'A` `nosuch` TRUTH)",
+         "in `nosuch`: unknown type constructor: 'nosuch' (at 'nosuch', 1:0)"),
+        # two faults: the one found first wins
+        ("thm a := (() $)", "bad character '$' in proof expression"),
+        ("thm a := (REFL `(T)`) (SYM $)", "bad character '$' in proof expression"),
+        ("thm a := ((REFL `T`) x)", "expected a rule name after '('"),
+    ],
+)
+def test_a_proof_expression_error_names_its_fault(tmp_path, capsys, line, message):
+    path = write(tmp_path, line + "\n")
+    assert main(["check", path]) == 1
+    assert capsys.readouterr().err == f"{path}:1: error: {message}\n"
+
+
 def test_duplicate_theorem_name_rejected(tmp_path, capsys):
     path = write(
         tmp_path, "thm r := (REFL `T`)\nthm r := (REFL `F`)\n"
