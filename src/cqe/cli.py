@@ -49,7 +49,7 @@ from .frontend import (
     tree_to_json,
     tree_to_sexp,
 )
-from .syntax import TypeVariable, Variable, alpha_equivalent
+from .syntax import IDENT, TypeVariable, Variable, alpha_equivalent
 
 # ---------------------------------------------------------------------------
 # rule signatures: how to coerce proof-expression arguments
@@ -90,89 +90,51 @@ RULE_SIGS = _rule_sigs(kernel, logic)
 # proof expressions
 # ---------------------------------------------------------------------------
 
-_PTOKEN = re.compile(
-    r"\s+|(?P<lp>\()|(?P<rp>\))|(?P<lit>`[^`]*`)|(?P<name>[A-Za-z_][A-Za-z0-9_']*)"
-)
-
-
-def _proof_tokens(text: str, lineno: int):
-    toks = []
-    pos = 0
-    while pos < len(text):
-        m = _PTOKEN.match(text, pos)
-        if m is None:
-            raise ScriptError(
-                f"bad character {text[pos]!r} in proof expression", lineno
-            )
-        if m.lastgroup == "lp":
-            toks.append(("lp", "("))
-        elif m.lastgroup == "rp":
-            toks.append(("rp", ")"))
-        elif m.lastgroup == "lit":
-            toks.append(("lit", m.group()[1:-1]))
-        elif m.lastgroup == "name":
-            toks.append(("name", m.group()))
-        pos = m.end()
-    return toks
+# a token and the blanks before it: a parenthesis, a backtick literal or a
+# name, or else one character that starts none of them
+_PTOKEN = re.compile(rf"\s*(?:([()]|`[^`]*`|{IDENT})|(\S))")
 
 
 def _parse_proof(text: str, lineno: int):
-    toks = _proof_tokens(text, lineno)
-    node, i = _parse_call(toks, 0, lineno)
-    if i != len(toks):
-        raise ScriptError("trailing input after proof expression", lineno)
-    return node
-
-
-def _parse_call(toks, i, lineno):
-    if i >= len(toks) or toks[i][0] != "lp":
-        raise ScriptError("expected '(' to open a proof expression", lineno)
-    i += 1
-    if i >= len(toks) or toks[i][0] != "name":
-        raise ScriptError("expected a rule name after '('", lineno)
-    rule = toks[i][1]
-    i += 1
-    args = []
-    while i < len(toks) and toks[i][0] != "rp":
-        kind = toks[i][0]
-        if kind == "lp":
-            node, i = _parse_call(toks, i, lineno)
-            args.append(node)
+    """The call tree of a proof expression ``text``, which starts with
+    ``(``: a rule call is a tuple ``(rule, arg, ...)``, and a theorem name
+    or a backtick literal is its token."""
+    toks = _PTOKEN.findall(text)
+    for _, bad in toks:
+        if bad:
+            raise ScriptError(f"bad character {bad!r} in proof expression", lineno)
+    items = []  # the items of the innermost open call, or the whole expression
+    outer = []  # the items of each enclosing open call, outermost first
+    for tok, _ in toks:
+        if not outer and items:
+            raise ScriptError("trailing input after proof expression", lineno)
+        if outer and not items and tok[0] in "()`":
+            raise ScriptError("expected a rule name after '('", lineno)
+        if tok == "(":
+            outer.append(items)
+            items = []
+        elif tok == ")":
+            call = tuple(items)
+            items = outer.pop()
+            items.append(call)
         else:
-            args.append(toks[i])
-            i += 1
-    if i >= len(toks):
+            items.append(tok)
+    if outer:
         raise ScriptError("unclosed '(' in proof expression", lineno)
-    return ("call", rule, args), i + 1
+    return items[0]
 
 
-def _parse_arg_term(text: str, lineno: int):
+def _parse_arg(parse, text: str, lineno: int):
+    """``parse(text)``, or a ScriptError quoting at most 60 characters of it."""
     try:
-        return parse_term(text)
+        return parse(text)
     except FrontendError as e:
-        raise ScriptError(f"in `{text}`: {e}", lineno, cause=e) from e
+        shown = text if len(text) <= 60 else text[:57] + "..."
+        raise ScriptError(f"in `{shown}`: {e}", lineno, cause=e) from e
 
 
-def _parse_arg_type(text: str, lineno: int):
-    try:
-        return parse_type(text)
-    except FrontendError as e:
-        raise ScriptError(f"in `{text}`: {e}", lineno, cause=e) from e
-
-
-def _thm_by_name(name: str, lineno: int):
-    try:
-        return logic.theorem(name)
-    except CqeError as e:
-        raise ScriptError(str(e), lineno, cause=e) from e
-
-
-def _eval_proof(node, lineno: int):
-    if node[0] == "name":
-        return _thm_by_name(node[1], lineno)
-    if node[0] != "call":
-        raise ScriptError("expected a theorem, got a quoted literal", lineno)
-    _, rule, args = node
+def _eval_proof(call, lineno: int):
+    rule, args = call[0], call[1:]
     if rule in ("INST", "INST_TYPE"):
         fn, vals = _inst_call(rule, args, lineno)
     else:
@@ -222,22 +184,26 @@ def _inst_call(rule, args, lineno):
 
 
 def _coerce(rule, node, kind, lineno):
-    if kind == THM:
-        if node[0] == "name":
-            return _thm_by_name(node[1], lineno)
-        if node[0] == "call":
-            return _eval_proof(node, lineno)
-        raise ScriptError(f"{rule}: expected a theorem, got `{node[1]}`", lineno)
-    if node[0] != "lit":
-        raise ScriptError(f"{rule}: expected a quoted {kind}", lineno)
-    if kind == TYPE:
-        return _parse_arg_type(node[1], lineno)
-    t = _parse_arg_term(node[1], lineno)
-    if kind == VAR and not isinstance(t, Variable):
-        raise ScriptError(
-            f"{rule}: expected a variable, got {print_term(t)}", lineno
-        )
-    return t
+    """The value of a call-tree ``node`` as an argument of ``kind`` to
+    ``rule``; theorem names are looked up here and nowhere else."""
+    literal = node[0] == "`"  # a call's first item is its rule name
+    if kind != THM:
+        if not literal:
+            raise ScriptError(f"{rule}: expected a quoted {kind}", lineno)
+        t = _parse_arg(parse_type if kind == TYPE else parse_term, node[1:-1], lineno)
+        if kind == VAR and not isinstance(t, Variable):
+            raise ScriptError(
+                f"{rule}: expected a variable, got {print_term(t)}", lineno
+            )
+        return t
+    if type(node) is tuple:
+        return _eval_proof(node, lineno)
+    if literal:
+        raise ScriptError(f"{rule}: expected a theorem, got {node}", lineno)
+    try:
+        return logic.theorem(node)
+    except CqeError as e:
+        raise ScriptError(str(e), lineno, cause=e) from e
 
 
 def _blocked_message(rule, e: SubstitutionBlocked) -> str:
@@ -262,14 +228,13 @@ def _strip_comment(line: str) -> str:
     return line
 
 
-_NAME = r"[A-Za-z_][A-Za-z0-9_']*"
 _CMD_RES = {
-    "constant": re.compile(rf"constant\s+({_NAME})\s*:\s*([^:]+?)\s*$"),
-    "axiom": re.compile(rf"axiom\s+({_NAME})\s*:=\s*`([^`]*)`\s*$"),
-    "define": re.compile(rf"define\s+({_NAME})\s*:=\s*`([^`]*)`\s*$"),
-    "register_nei": re.compile(rf"register_nei\s+({_NAME})\s*$"),
-    "thm": re.compile(rf"thm\s+({_NAME})\s*:=\s*(\(.*\))\s*$"),
-    "check": re.compile(rf"check\s+({_NAME})\s+matches\s+`([^`]*)`\s*$"),
+    "constant": re.compile(rf"constant\s+({IDENT})\s*:\s*([^:]+?)\s*$"),
+    "axiom": re.compile(rf"axiom\s+({IDENT})\s*:=\s*`([^`]*)`\s*$"),
+    "define": re.compile(rf"define\s+({IDENT})\s*:=\s*`([^`]*)`\s*$"),
+    "register_nei": re.compile(rf"register_nei\s+({IDENT})\s*$"),
+    "thm": re.compile(rf"thm\s+({IDENT})\s*:=\s*(\(.*\))\s*$"),
+    "check": re.compile(rf"check\s+({IDENT})\s+matches\s+`([^`]*)`\s*$"),
 }
 
 
@@ -329,26 +294,26 @@ class Runner:
 
     def _cmd_constant(self, m, lineno):
         name, tytext = m.group(1), m.group(2)
-        ty = _parse_arg_type(tytext, lineno)
+        ty = _parse_arg(parse_type, tytext, lineno)
         kernel.new_constant(name, ty)
         if self.trace:
             self.emit(f"constant {name} : {print_type(ty)}")
 
     def _cmd_axiom(self, m, lineno):
         name, text = m.group(1), m.group(2)
-        th = kernel.new_axiom(name, _parse_arg_term(text, lineno))
+        th = kernel.new_axiom(name, _parse_arg(parse_term, text, lineno))
         if self.trace:
             self.emit(f"axiom {name} : {print_theorem(th)}")
 
     def _cmd_define(self, m, lineno):
         name, text = m.group(1), m.group(2)
-        th = kernel.new_basic_definition(name, _parse_arg_term(text, lineno))
+        th = kernel.new_basic_definition(name, _parse_arg(parse_term, text, lineno))
         if self.trace:
             self.emit(f"define {name} : {print_theorem(th)}")
 
     def _cmd_register_nei(self, m, lineno):
         name = m.group(1)
-        kernel.register_not_effective(_thm_by_name(name, lineno))
+        kernel.register_not_effective(_coerce(None, name, THM, lineno))
         if self.trace:
             self.emit(f"register_nei {name}")
 
@@ -365,8 +330,8 @@ class Runner:
 
     def _cmd_check(self, m, lineno):
         name, text = m.group(1), m.group(2)
-        th = _thm_by_name(name, lineno)
-        target = _parse_arg_term(text, lineno)
+        th = _coerce(None, name, THM, lineno)
+        target = _parse_arg(parse_term, text, lineno)
         if th.hyps:
             raise ScriptError(
                 f"check {name}: theorem still has hypotheses: {print_theorem(th)}",

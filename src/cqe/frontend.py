@@ -22,10 +22,11 @@ keeps one memo of texts read, each with its term and its free names' types
 (see ``parse_term``).  A parenthesized group looks its inside up in that
 memo too, and reuses the term wherever those names resolve as they did; a
 group that read no name from outside itself reads as its text alone does,
-so it is kept there.  One regular-expression scan lexes the input into
-parallel lists of token kinds, texts and offsets, and matches its
-parentheses; a keyword is an identifier found in a set, and ``line:col`` is
-worked out from an offset only for a message.  One reading pass then parses
+so it is kept there, even when the text around it is refused.  One
+regular-expression scan lexes the input into parallel lists of token kinds,
+texts and offsets, and matches its parentheses; a keyword is an identifier
+found in a set, and ``line:col`` is worked out from an offset only for a
+message.  One reading pass then parses
 and elaborates together: a binding-power loop (Pratt, "Top down operator
 precedence", POPL 1973) reads one nesting level per frame, handling prefix
 forms, application and the infix connectives of ``_INFIX``, the table the
@@ -285,11 +286,6 @@ def _unify(a, b, trail):
         _unify(x, y, trail)
 
 
-def _undo(trail, mark):
-    while len(trail) > mark:
-        trail.pop().ref = None
-
-
 def _is(t, ty) -> bool:
     """Whether the elaboration type ``t`` is now exactly the kernel type ``ty``."""
     t = _resolve(t)
@@ -353,10 +349,9 @@ class _Reader:
     closed if no name in it resolved outside it: the least depth its names
     resolved to, ``low``, is still len(names) at its ``)``.  A closed group
     read with no elaboration error held reads as its text alone does, so it
-    is kept (``_keep``); what is not kept is built by the final ``_build``,
-    so errors and their order are those of a read without the memo.  Keys
-    kept are listed in ``kept`` so that a refused text can take them back
-    out (``forget``).
+    is kept (``_keep``), even if the text is refused later; what is not kept
+    is built by the final ``_build``, so errors and their order are those of
+    a read without the memo.
     """
 
     def __init__(self, text):
@@ -376,8 +371,6 @@ class _Reader:
         # the least depth a name read inside the innermost open group
         # resolved to: its binder's, or -1 for a free name
         self.low = -1
-        self.kept = []  # the memo keys of the groups kept
-        self.trail = []
         # len(names) at the outermost open quotation; None outside any
         # quotation and directly inside a hole
         self.saved = None
@@ -413,7 +406,7 @@ class _Reader:
 
     def _unify_at(self, a, b, off, what):
         try:
-            _unify(a, b, self.trail)
+            _unify(a, b, [])
         except _UnifyFail:
             self._hold(ElaborationError(f"{what} {self._at(off)}"))
 
@@ -644,11 +637,12 @@ class _Reader:
     def _ident(self, name, ann, off) -> tuple:
         for vty, depth in reversed(self.scope.get(name, ())):
             if ann is not None:
-                mark = len(self.trail)
+                trail = []
                 try:
-                    _unify(vty, ann, self.trail)
+                    _unify(vty, ann, trail)
                 except _UnifyFail:
-                    _undo(self.trail, mark)
+                    for m in trail:
+                        m.ref = None
                     continue  # annotation escapes this binder; look outward
             if depth < self.low:
                 self.low = depth
@@ -717,15 +711,8 @@ class _Reader:
         if t.has_hole:
             return plan  # its contents see a scope that depends on the context
         key = (inner, *self.sig)
-        if key not in self.reads:
-            self.reads[key] = (t, ())
-            self.kept.append(key)
+        self.reads.setdefault(key, (t, ()))
         return (t.ty, _P_TERM, t)
-
-    def forget(self):
-        """Take the groups this reader kept back out of the memo."""
-        for key in self.kept:
-            del self.reads[key]
 
 
 def _build(plan) -> Term:
@@ -779,7 +766,8 @@ def parse_term(text: str) -> Term:
     reads no name from outside itself reads exactly as its text alone does,
     so it is kept under its inside, with no names, and answers
     ``parse_term`` of that text too; it never replaces an entry.  A refused
-    text is not kept, nor are its groups, and it raises on every call.
+    text is not kept and raises on every call, but the closed groups it read
+    stay: each reads as its text alone does.
     """
     s = session.current()
     key = (text, len(s.constants), len(s.type_arities))
@@ -792,13 +780,10 @@ def parse_term(text: str) -> Term:
             if reader.error is not None:
                 raise reader.error
             t = _build(plan)
-        except BaseException as e:
-            reader.forget()
-            if type(e) is _Unresolved:
-                raise ElaborationError("could not infer a unique type; add an annotation") from None
-            if type(e) is RecursionError:
-                raise ParseError("input is nested too deeply") from None
-            raise
+        except _Unresolved:
+            raise ElaborationError("could not infer a unique type; add an annotation") from None
+        except RecursionError:
+            raise ParseError("input is nested too deeply") from None
         names = tuple([(name, _zonk(ety)) for name, ety in reader.free.items()])
         entry = s.reads[key] = (t, names)
     return entry[0]

@@ -49,7 +49,8 @@ class Session:
         # the reader's memo (see frontend.parse_term): (text,
         # len(constants), len(type_arities)) -> (term, names), where names
         # lists each free variable of the text with its type; a closed
-        # group's inside is kept there too, with no names
+        # group's inside is kept there too, with no names, even when the
+        # text around it is refused
         self.reads = {}
         self.serial = next(_serials)
 

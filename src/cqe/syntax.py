@@ -87,8 +87,9 @@ class HolType:
 
 
 # The surface shapes of names, stated once: the lexer (frontend._TOKEN_RE)
-# builds its IDENT and TYVAR groups and its keyword set from these, and the
-# reader takes each of OPERATORS, written (=) and so on, as a constant name.
+# builds its IDENT and TYVAR groups and its keyword set from these, cli its
+# script names and proof-expression tokens from IDENT, and the reader takes
+# each of OPERATORS, written (=) and so on, as a constant name.
 # Formation refuses a variable or type-variable name the lexer would not read
 # back, and kernel.new_constant a constant name (is_constant_name).
 IDENT = r"[A-Za-z_][A-Za-z0-9_']*"

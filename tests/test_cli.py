@@ -16,6 +16,8 @@ from cqe.cli import RULE_SIGS, Runner, _parser, _rule_sigs, main
 from cqe.errors import ScriptError
 from cqe.syntax import HolType, Term
 
+import fuzz_scripts
+
 SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "src", "cqe", "scripts")
 
 
@@ -184,6 +186,21 @@ def test_too_deep_input_is_a_typed_error(tmp_path, capsys, term):
     err = capsys.readouterr().err
     assert f"{path}:1: error:" in err
     assert "Traceback" not in err
+
+
+def test_an_error_in_a_long_text_quotes_its_start_only(tmp_path):
+    term = " /\\ ".join(["(v0:num = v0)"] * 1000)
+    path = write(tmp_path, f"thm r := (REFL `{term}`)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cqe.__file__)))
+    run = subprocess.run(  # a fresh process, as users run it
+        [sys.executable, "-m", "cqe.cli", "check", path],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 1 and run.stdout == ""
+    assert run.stderr == f"{path}:1: error: in `{term[:57]}...`: input is nested too deeply\n"
+    assert len(run.stderr.encode()) - len(path) < 200
 
 
 def test_nested_parentheses_within_the_depth_limit_check(tmp_path, capsys):
@@ -356,6 +373,13 @@ def test_a_proof_expression_error_names_its_fault(tmp_path, capsys, line, messag
     path = write(tmp_path, line + "\n")
     assert main(["check", path]) == 1
     assert capsys.readouterr().err == f"{path}:1: error: {message}\n"
+
+
+def test_token_mutants_of_the_shipped_scripts_exit_cleanly(tmp_path):
+    # no traceback and no exit code but 0, 1 or 2; export runs what check
+    # runs, so the two agree, and some mutants still pass
+    codes = [fuzz_scripts.run(seed, tmp_path) for seed in range(500)]
+    assert set(codes) == {(0, 0), (1, 1)}
 
 
 def test_duplicate_theorem_name_rejected(tmp_path, capsys):

@@ -11,7 +11,9 @@ character loop.  The tests compare each with its replacement, and pin what
 the session's read memo must keep: an entry never outlives the signature
 it was read under, nor its session, a group is kept only when it reads no
 name from outside itself, and a group read from the memo reads as a fresh
-read of it does.
+read of it does.  A refused text gets no entry, and raises the same error
+on every call; the closed groups it read stay, and each answers its text as
+a fresh read does.
 """
 
 import json
@@ -401,11 +403,19 @@ def test_a_type_constructor_invalidates_the_read_memo():
         "((SUC _0) = _0) /\\ (q:num)",
     ],
 )
-def test_a_refused_text_raises_on_every_call(text):
+def test_a_refused_text_raises_on_every_call(text, monkeypatch):
+    reads = session.current().reads
     first = _outcome(parse_term, text)
     assert first[0] in (ParseError, ElaborationError)
     assert _outcome(parse_term, text) == first
-    assert session.current().reads == {}
+    assert _key(text) not in reads
+    # the closed groups read before the refusal stay, each as its text alone reads
+    kept = dict(reads)
+    assert bool(kept) == text.startswith(("(SUC", "((SUC"))
+    monkeypatch.setattr(session.current(), "reads", {})
+    monkeypatch.setattr(frontend._Reader, "_reuse", lambda self, inner, j: None)
+    for (inner, *_), (t, names) in kept.items():
+        assert _outcome(parse_term, inner) is t and names == ()
 
 
 def _reuse_hits(monkeypatch) -> list:
