@@ -6,6 +6,7 @@ A script is a sequence of one-line commands::
     constant weird : epsilon->bool
     axiom ax1 := `weird Q_ T _Q`
     define two := `SUC (SUC _0)`
+    thm two_eq := (SYM two)
     thm step := (MP (INST `p:bool` `T` imp_something) other_thm)
     register_nei ax_saying_not_effective
     check step matches `T \\/ ~T`
@@ -33,12 +34,7 @@ import re
 import sys
 
 from . import kernel, logic, session
-from .errors import (
-    CqeError,
-    FrontendError,
-    ScriptError,
-    SubstitutionBlocked,
-)
+from .errors import CqeError, FrontendError, ScriptError, SubstitutionBlocked
 from .frontend import (
     parse_term,
     parse_type,
@@ -143,15 +139,9 @@ def _eval_proof(call, lineno: int):
             raise ScriptError(f"unknown rule {rule!r}", lineno)
         fn, kinds, least = entry
         if not (least <= len(args) <= len(kinds)):
-            want = (
-                str(least) if least == len(kinds) else f"{least} to {len(kinds)}"
-            )
-            raise ScriptError(
-                f"{rule} takes {want} arguments, got {len(args)}", lineno
-            )
-        vals = [
-            _coerce(rule, a, k, lineno) for a, k in zip(args, kinds)
-        ]
+            want = str(least) if least == len(kinds) else f"{least} to {len(kinds)}"
+            raise ScriptError(f"{rule} takes {want} arguments, got {len(args)}", lineno)
+        vals = [_coerce(rule, a, k, lineno) for a, k in zip(args, kinds)]
     try:
         return fn(*vals)
     except SubstitutionBlocked as e:
@@ -216,6 +206,13 @@ def _blocked_message(rule, e: SubstitutionBlocked) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _unbound(name: str, lineno: int) -> str:
+    """``name``, if it names no theorem yet: a declaration binds it once."""
+    if name in session.current().theorems:
+        raise ScriptError(f"theorem name already used: {name!r}", lineno)
+    return name
+
+
 def _strip_comment(line: str) -> str:
     if "#" not in line:
         return line
@@ -233,7 +230,7 @@ _CMD_RES = {
     "axiom": re.compile(rf"axiom\s+({IDENT})\s*:=\s*`([^`]*)`\s*$"),
     "define": re.compile(rf"define\s+({IDENT})\s*:=\s*`([^`]*)`\s*$"),
     "register_nei": re.compile(rf"register_nei\s+({IDENT})\s*$"),
-    "thm": re.compile(rf"thm\s+({IDENT})\s*:=\s*(\(.*\))\s*$"),
+    "thm": re.compile(rf"thm\s+({IDENT})\s*:=\s*(\(.*)$"),
     "check": re.compile(rf"check\s+({IDENT})\s+matches\s+`([^`]*)`\s*$"),
 }
 
@@ -306,8 +303,9 @@ class Runner:
             self.emit(f"axiom {name} : {print_theorem(th)}")
 
     def _cmd_define(self, m, lineno):
-        name, text = m.group(1), m.group(2)
+        name, text = _unbound(m.group(1), lineno), m.group(2)
         th = kernel.new_basic_definition(name, _parse_arg(parse_term, text, lineno))
+        session.current().theorems[name] = th
         if self.trace:
             self.emit(f"define {name} : {print_theorem(th)}")
 
@@ -318,12 +316,9 @@ class Runner:
             self.emit(f"register_nei {name}")
 
     def _cmd_thm(self, m, lineno):
-        name, expr = m.group(1), m.group(2)
-        s = session.current()
-        if name in s.theorems or name in s.axioms:
-            raise ScriptError(f"theorem name already used: {name!r}", lineno)
+        name, expr = _unbound(m.group(1), lineno), m.group(2)
         th = _eval_proof(_parse_proof(expr, lineno), lineno)
-        s.theorems[name] = th
+        session.current().theorems[name] = th
         self.defined[name] = lineno
         if self.trace:
             self.emit(f"{name} : {print_theorem(th)}")
@@ -440,8 +435,9 @@ def _cmd_repl(args) -> int:
             break
         if line == ":state":
             s = session.current()
+            axioms = sum(th.axioms == {name} for name, th in s.theorems.items())
             runner.emit(
-                f"{len(s.constants)} constants, {len(s.axioms)} axioms, "
+                f"{len(s.constants)} constants, {axioms} axioms, "
                 f"{len(s.theorems)} theorems, {len(s.nei_registry)} registered"
             )
             continue

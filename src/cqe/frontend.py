@@ -329,13 +329,14 @@ def _instance(ty: HolType, metas: dict):
 # A plan is what the reader makes of a form: a tuple whose first item is the
 # form's elaboration type and whose second is one of these tags.
 #   (ty, _P_CONST, name)   (ty, _P_VAR, name)
-#   (ty, _P_APP, fn plan, arg plan)   (ty, _P_NUM, value)
+#   (ty, _P_APP, fn plan, arg plan)
 #   (ty, _P_ABS, name, variable type, body plan)
 #   (ty, _P_QUOTE, body plan)   (ty, _P_HOLE, plan)   (ty, _P_EVAL, plan)
-#   (ty, _P_TERM, term)   -- a group built at its ``)``, or taken from the memo
+#   (ty, _P_TERM, term)   -- a numeral, or a group built at its ``)`` or
+#                            taken from the memo
 # A bound occurrence is a _P_VAR at its binder's type, so it builds the
 # binder's own (interned) Variable.
-_P_CONST, _P_VAR, _P_APP, _P_NUM, _P_ABS, _P_QUOTE, _P_HOLE, _P_EVAL, _P_TERM = range(9)
+_P_CONST, _P_VAR, _P_APP, _P_ABS, _P_QUOTE, _P_HOLE, _P_EVAL, _P_TERM = range(8)
 
 class _Reader:
     """Parses a text and elaborates each form as soon as it is read.
@@ -524,9 +525,11 @@ class _Reader:
                                 self.low = outer
             elif kind == "NUMERAL":
                 self.i = i + 1
-                if "_0" not in self.constants or "SUC" not in self.constants:
-                    self._hold(ElaborationError(f"no numerals in this session {self._at(off)}"))
-                lhs = (num_ty(), _P_NUM, int(self.texts[i]))
+                num = Constant("_0", num_ty())
+                suc = Constant("SUC", mk_fun(num_ty(), num_ty()))
+                for _ in range(int(self.texts[i])):
+                    num = Application(suc, num)
+                lhs = (num.ty, _P_TERM, num)
             elif kind == "STRING":
                 self.i = i + 1
                 lhs = (str_ty(), _P_CONST, self.texts[i])
@@ -729,12 +732,6 @@ def _build(plan) -> Term:
     if tag == _P_ABS:
         _, _, name, vty, bplan = plan
         return Abstraction(Variable(name, _zonk(vty)), _build(bplan))
-    if tag == _P_NUM:
-        t: Term = Constant("_0", num_ty())
-        suc = Constant("SUC", mk_fun(num_ty(), num_ty()))
-        for _ in range(plan[2]):
-            t = Application(suc, t)
-        return t
     if tag == _P_QUOTE:
         return Quotation(_build(plan[2]))
     if tag == _P_HOLE:

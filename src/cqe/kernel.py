@@ -814,16 +814,18 @@ def new_constant(name: str, ty: HolType) -> Constant:
 
 
 def new_axiom(name: str, p: Term) -> Theorem:
+    """Assert ``p`` and bind it under ``name``, which must name no theorem:
+    axiom names are the provenance that theorems carry."""
     s = session.current()
-    if name in s.axioms:
-        raise DuplicateName(f"axiom already registered: {name!r}")
-    th = _thm((), p, axioms=frozenset((name,)))
-    s.axioms[name] = th
+    if name in s.theorems:
+        raise DuplicateName(f"theorem name already used: {name!r}")
+    s.theorems[name] = th = _thm((), p, axioms=frozenset((name,)))
     return th
 
 
 def new_basic_definition(name: str, body: Term) -> Theorem:
-    s = session.current()
+    """Declare the constant ``name`` equal to ``body``; the theorem saying so
+    is the caller's to name."""
     if not body.eval_free:
         raise NotEvalFree("a definition body must be eval-free")
     if body.has_naked_hole:
@@ -834,6 +836,4 @@ def new_basic_definition(name: str, body: Term) -> Theorem:
     if not type_variables_in_term(body) <= type_variables_in(body.ty):
         raise IllTyped("a type variable of the body escapes the defined constant's type")
     c = new_constant(name, body.ty)
-    th = _thm((), mk_eq(c, body))
-    s.definitions[name] = th
-    return th
+    return _thm((), mk_eq(c, body))

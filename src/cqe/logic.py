@@ -108,9 +108,9 @@ def _basis(name: str) -> Theorem:
 
 
 def theorem(name: str) -> Theorem:
-    """Look up a named theorem (user theorems first, then axioms)."""
-    s = session.current()
-    th = s.theorems.get(name) or s.axioms.get(name)
+    """The theorem bound to ``name``: an axiom, a script's definition or
+    ``thm``, or a bootstrap theorem (a name is bound once)."""
+    th = session.current().theorems.get(name)
     if th is None:
         raise KernelError(f"no theorem named {name!r}")
     return th
@@ -490,7 +490,6 @@ def bootstrap_logic(s) -> None:
             mk_disj(mk_eq(p, T), mk_eq(p, Constant("F", b))),
         ),
     )
-    s.theorems["BOOL_CASES_AX"] = bca
 
     cases = SPEC(p, bca)
     on_t = DISJ1(EQT_ELIM(ASSUME(mk_eq(p, T))), mk_neg(p))
@@ -571,7 +570,7 @@ def _induction(cons, carrier: str) -> Term:
     )
 
 
-def install_datatype_facts(s) -> None:
+def install_datatype_facts() -> None:
     rows = {"epsilon": [], "type": []}
     for name, (cls, kinds) in CONSTRUCTORS.items():
         rows["type" if cls is None else "epsilon"].append((name, kinds))
@@ -581,8 +580,7 @@ def install_datatype_facts(s) -> None:
             ("injective", _injectivity(cons)),
             ("induction", _induction(cons, carrier)),
         ):
-            name = f"{carrier}_{fact}"
-            s.theorems[name] = new_axiom(name, stmt)
+            new_axiom(f"{carrier}_{fact}", stmt)
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +588,7 @@ def install_datatype_facts(s) -> None:
 # ---------------------------------------------------------------------------
 
 
-def arithmetic_base(s) -> Theorem:
+def arithmetic_base() -> None:
     n = num_ty()
     new_constant("_0", n)
     new_constant("SUC", mk_fun(n, n))
@@ -611,9 +609,7 @@ def arithmetic_base(s) -> Theorem:
             mk_forall(nv, Application(P, nv)),
         ),
     )
-    th = new_axiom("num_INDUCTION", ind)
-    s.theorems["num_INDUCTION"] = th
-    return th
+    new_axiom("num_INDUCTION", ind)
 
 
 # ---------------------------------------------------------------------------
@@ -726,7 +722,7 @@ def IS_PRESBURGER_CONV(c: Term) -> Theorem:
     return _arith_conv(c, "isPresburger", False, "IS_PRESBURGER_CONV")
 
 
-def define_arith_predicates(s) -> None:
+def define_arith_predicates() -> None:
     """Declare isPeano and isPresburger, each with the named axiom that what
     it accepts is a construction of type num->bool."""
     c = Variable("c", epsilon_ty())
@@ -739,4 +735,4 @@ def define_arith_predicates(s) -> None:
             c,
             mk_imp(Application(pred, c), mk_is_expr_type(c, mk_fun(num_ty(), bool_ty()))),
         )
-        s.theorems[ax_name] = new_axiom(ax_name, concl)
+        new_axiom(ax_name, concl)

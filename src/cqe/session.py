@@ -1,7 +1,8 @@
-"""Mutable proof-session state: signature, axioms, definitions, theorems.
+"""Mutable proof-session state: signature and named theorems.
 
 A session owns the type-constructor arity table, the constant signature, the
-named axioms and definitions, user-named theorems, the support theorems the
+one table of named theorems (the bootstrap's, and each axiom, script
+definition and ``thm``, bound once under its name), the support theorems the
 derived rules instantiate, the registry of proved not-effective facts
 that the substitution discipline consults, the intern tables of the
 types and terms formed while it is active (see ``syntax``), and the
@@ -38,8 +39,7 @@ class Session:
     def __init__(self):
         self.type_arities = {}
         self.constants = {}
-        self.axioms = {}
-        self.definitions = {}
+        # name -> theorem, bound once: the one table logic.theorem reads
         self.theorems = {}
         self.basis = {}
         self.nei_registry = {}
@@ -108,6 +108,6 @@ def _populate(s: Session) -> None:
 
     constructions.install(s)
     logic.bootstrap_logic(s)
-    logic.install_datatype_facts(s)
-    logic.arithmetic_base(s)
-    logic.define_arith_predicates(s)
+    logic.install_datatype_facts()
+    logic.arithmetic_base()
+    logic.define_arith_predicates()

@@ -85,6 +85,14 @@ class HolType:
     def __setattr__(self, name, value):
         raise AttributeError("types are immutable")
 
+    def __repr__(self):
+        try:
+            from .frontend import _pty
+
+            return _pty(self, True)
+        except Exception:
+            return f"<{type(self).__name__}>"
+
 
 # The surface shapes of names, stated once: the lexer (frontend._TOKEN_RE)
 # builds its IDENT and TYVAR groups and its keyword set from these, cli its
@@ -131,9 +139,6 @@ class TypeVariable(HolType):
     def __reduce__(self):
         return (TypeVariable, (self.name,))
 
-    def __repr__(self):
-        return self.name
-
 
 class TypeApplication(HolType):
     __slots__ = ("constructor", "arguments", "_tyvars", "_serial")
@@ -179,14 +184,6 @@ class TypeApplication(HolType):
 
     def __reduce__(self):
         return (TypeApplication, (self.constructor, self.arguments))
-
-    def __repr__(self):
-        if not self.arguments:
-            return self.constructor
-        if self.constructor == "fun" and len(self.arguments) == 2:
-            return f"({self.arguments[0]!r}->{self.arguments[1]!r})"
-        args = " ".join(repr(a) for a in self.arguments)
-        return f"({self.constructor} {args})"
 
 
 def bool_ty() -> TypeApplication:

@@ -122,6 +122,8 @@ def test_constant_axiom_define_register(tmp_path, capsys):
         axiom won_ax := `won`
         define loses := `~won`
         thm a := (ASSUME `loses`)
+        thm b := (SYM loses)
+        check b matches `(~won) = loses`
         """,
     )
     assert main(["check", path]) == 0
@@ -342,6 +344,8 @@ def test_wrong_arity_rejected(tmp_path, capsys):
         ("thm a := (REFL (SYM TRUTH)", "unclosed '(' in proof expression"),
         ("thm a := (REFL `T`) (SYM a)", "trailing input after proof expression"),
         ("thm a := (REFL `T`) )", "trailing input after proof expression"),
+        ("thm a := (REFL `T`)x", "trailing input after proof expression"),
+        ("thm a := (REFL `T`", "unclosed '(' in proof expression"),
         ("thm a := ()", "expected a rule name after '('"),
         ("thm a := (`T`)", "expected a rule name after '('"),
         ("thm a := (REFL ())", "expected a rule name after '('"),
@@ -388,6 +392,35 @@ def test_duplicate_theorem_name_rejected(tmp_path, capsys):
     )
     assert main(["check", path]) == 1
     assert "already" in capsys.readouterr().err
+
+
+_DECLARATIONS = {
+    "axiom": "axiom {} := `F`",
+    "define": "define {} := `T`",
+    "thm": "thm {} := (REFL `T`)",
+}
+
+
+@pytest.mark.parametrize("again", list(_DECLARATIONS))
+@pytest.mark.parametrize("first", [None, *_DECLARATIONS], ids=["bootstrap", *_DECLARATIONS])
+def test_a_name_is_bound_once(tmp_path, capsys, first, again):
+    # a bootstrap theorem's name, or one a script's own declaration bound,
+    # refuses every declaration of it, which then declares nothing
+    name = "EXCLUDED_MIDDLE" if first is None else "n"
+    lines = [_DECLARATIONS[k].format(name) for k in (first, again) if k]
+    path = write(tmp_path, "\n".join(lines) + "\n")
+    assert main(["check", path]) == 1
+    prefix = "DuplicateName: " if again == "axiom" else ""
+    message = f"{prefix}theorem name already used: {name!r}"
+    assert capsys.readouterr().err == f"{path}:{len(lines)}: error: {message}\n"
+    session.reset()
+    runner = Runner(quiet=True)
+    runner.run_text("\n".join(lines[:-1]))
+    s = session.current()
+    before = dict(s.constants), dict(s.theorems)
+    with pytest.raises(ScriptError):
+        runner.command(lines[-1], len(lines))
+    assert (s.constants, s.theorems) == before
 
 
 def test_unknown_theorem_reference(tmp_path, capsys):
@@ -643,13 +676,14 @@ def test_shipped_exports_match_the_goldens(tmp_path, capsys, name, fmt):
 
 def test_repl_session(monkeypatch, capsys):
     lines = io.StringIO(
-        "thm r := (REFL `T`)\n:state\n:thms\n:quit\n"
+        "thm r := (REFL `T`)\naxiom z := `T`\n:state\n:thms\n:quit\n"
     )
     monkeypatch.setattr("sys.stdin", lines)
     assert main(["repl"]) == 0
     out = capsys.readouterr().out
     assert "|- T = T" in out
-    assert "constants" in out
+    # the ten bootstrap axioms and z; r rests on none
+    assert " constants, 11 axioms, " in out
     assert "r" in out.splitlines()[-2:][0] or "r" in out
 
 

@@ -376,6 +376,9 @@ _MALFORMED = [
     ),
     ("T:num", ElaborationError, "annotation does not fit constant 'T' (at 1:0)", None),
     ("x:'a = y:'b", ElaborationError, "operator/operand types do not agree (at 1:5)", None),
+    # the occurs check: x would need a type that contains itself
+    ("\\x. x x", ElaborationError, "operator/operand types do not agree (at 1:6)", None),
+    ("\\f. f f", ElaborationError, "operator/operand types do not agree (at 1:6)", None),
     ("eval c:bool to bool", ElaborationError, "eval expects a construction (type epsilon) (at 1:0)", None),
     (
         "Q_ H_ T _H _Q",

@@ -886,15 +886,17 @@ def test_new_constant_and_axiom():
 def test_new_axiom_refusals():
     new_axiom("ax", T)
     cases = [
-        ("ax", T, DuplicateName, "already registered"),
+        ("ax", T, DuplicateName, "already used"),
+        # a bootstrap theorem's name: axiom names are provenance
+        ("TRUTH", F, DuplicateName, "already used"),
         ("num_ax", Constant("_0", num_ty()), IllTyped, "a conclusion must have type bool"),
         ("hole_ax", Hole(Quotation(T), bool_ty()), ContainsHole, "a conclusion cannot"),
     ]
-    before = dict(session.current().axioms)
+    before = dict(session.current().theorems)
     for name, p, error, message in cases:
         with pytest.raises(error, match=message):
             new_axiom(name, p)
-    assert session.current().axioms == before
+    assert session.current().theorems == before
 
 
 def test_new_basic_definition():
@@ -928,10 +930,10 @@ def test_new_basic_definition_refusals(name, build, error):
     # a refused definition declares nothing
     body = build()
     s = session.current()
-    before = dict(s.constants), dict(s.definitions)
+    before = dict(s.constants), dict(s.theorems)
     with pytest.raises(error):
         new_basic_definition(name, body)
-    assert (s.constants, s.definitions) == before
+    assert (s.constants, s.theorems) == before
 
 
 def test_new_type_constructor():

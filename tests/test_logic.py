@@ -760,7 +760,7 @@ def test_arithmetic_convs_read_the_predicate_closed():
 def test_predicate_type_facts_are_named_axioms():
     for name, pred in (("PEANO_PRED_TYPE", "isPeano"), ("PRESBURGER_PRED_TYPE", "isPresburger")):
         th = theorem(name)
-        assert th is session.current().axioms[name]
+        assert th is session.current().theorems[name]
         assert th.axioms == {name} and not th.trusted
         assert th.concl == parse_term(
             f"!c:epsilon. {pred} c ==> "
