@@ -362,7 +362,11 @@ def _vsubst(t: Term, theta: dict, registry, used) -> Term:
         if type(arg) is Variable:
             arg = theta.get(arg, arg)
         elif not (arg.eval_free and theta.keys().isdisjoint(arg._fv)):
-            arg = _vsubst(arg, theta, registry, used)
+            # a binder operand (the body of !, ? and \x. forms) skips a frame
+            if type(arg) is Abstraction:
+                arg = _vsubst_abs(arg, theta, registry, used)
+            else:
+                arg = _vsubst(arg, theta, registry, used)
         return t if fn is t.fn and arg is t.arg else Application(fn, arg)
     if isinstance(t, Abstraction):
         return _vsubst_abs(t, theta, registry, used)

@@ -107,6 +107,17 @@ def _basis(name: str) -> Theorem:
     return th
 
 
+def _typed_basis(name: str, ty: HolType) -> Theorem:
+    """``INST_TYPE`` of the support theorem ``name`` at ``'A := ty``, taken
+    once per session and kept in its ``basis`` under ``(name, ty)``: types
+    are interned, so the memo is exact, and ``reset()`` discards it."""
+    basis = session.current().basis
+    th = basis.get((name, ty))
+    if th is None:
+        th = basis[name, ty] = INST_TYPE(((TypeVariable("'A"), ty),), _basis(name))
+    return th
+
+
 def theorem(name: str) -> Theorem:
     """The theorem bound to ``name``: an axiom, a script's definition or
     ``thm``, or a bootstrap theorem (a name is bound once)."""
@@ -278,7 +289,7 @@ def SPEC(t: Term, th: Theorem) -> Theorem:
     f = th.concl.arg
     alpha = f.ty.arguments[0]
     ft = Application(f, t)
-    pth = INST_TYPE(((TypeVariable("'A"), alpha),), _basis("spec_elim"))
+    pth = _typed_basis("spec_elim", alpha)
     P, x = Variable("P", mk_fun(alpha, bool_ty())), Variable("x", alpha)
     pth = INST(((P, f), (x, t)), pth)
     pth = PROVE_HYP(th, pth)
@@ -289,7 +300,7 @@ def SPEC(t: Term, th: Theorem) -> Theorem:
 
 def GEN(x: Variable, th: Theorem) -> Theorem:
     ath = ABS(x, EQT_INTRO(th))
-    pth = INST_TYPE(((TypeVariable("'A"), x.ty),), _basis("gen"))
+    pth = _typed_basis("gen", x.ty)
     lam = Abstraction(x, th.concl)
     pth = INST(((Variable("P", mk_fun(x.ty, bool_ty())), lam),), pth)
     return EQ_MP(pth, ath)

@@ -15,13 +15,16 @@ syntax-reflection constants, the logical connectives and their support
 theorems, the datatype facts, and the arithmetic signature) and then cloned,
 so ``reset()`` is cheap and tests are isolated.  A clone starts with the
 template's intern tables, so a node formed by the bootstrap is one object in
-every session.  ``reset()`` is the only caller of ``copy()``, so a session's
+every session.  ``terms`` holds one table per node class, keyed by the
+node's parts; ``copy()`` copies each, so a session never writes into the
+template's.  ``reset()`` is the only caller of ``copy()``, so a session's
 tables hold exactly the nodes stamped with its own serial or the template's.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 
 _BASE_ARITIES = {
     "bool": 0,
@@ -43,8 +46,9 @@ class Session:
         self.theorems = {}
         self.basis = {}
         self.nei_registry = {}
-        # the intern tables of syntax: structure key -> the one node formed
-        self.terms = {}
+        # the intern tables of syntax: node class -> parts -> the one term
+        # formed, and structure key -> the one type formed
+        self.terms = defaultdict(dict)
         self.types = {}
         # the reader's memo (see frontend.parse_term): (text,
         # len(constants), len(type_arities)) -> (term, names), where names
@@ -58,6 +62,7 @@ class Session:
         """A new session, with its own serial, starting from these tables."""
         s = Session()
         vars(s).update({name: dict(t) for name, t in vars(self).items() if name != "serial"})
+        s.terms = defaultdict(dict, {cls: dict(t) for cls, t in self.terms.items()})
         return s
 
 

@@ -1,10 +1,11 @@
 """Core term language: simple types and the seven-constructor term tree.
 
 Types and terms are hash-consed (Filliâtre & Conchon, "Type-Safe Modular
-Hash-Consing", 2006) in the active session's ``types`` and ``terms``
-tables: a constructor returns the one object already built for the
-structure, so ``==`` and ``hash`` on types and on terms are the object's
-identity and its address, and a table key hashes in C.  Every formation
+Hash-Consing", 2006) in the active session's ``types`` table and its
+``terms`` tables, one per node class and keyed by the node's parts: a
+constructor returns the one object already built for the structure, so
+``==`` and ``hash`` on types and on terms are the object's identity and
+its address, and a table key hashes in C.  Every formation
 check, the arity check of a type and the signature check of a constant
 included, runs once, on the table miss that builds the node.  A hit needs
 none: a session's signature only grows (redeclaration is refused), and
@@ -27,10 +28,11 @@ table miss the new node's class validates its formation conditions once,
 in ``__post_init__``: that each part is of its kind (a type part a
 ``HolType``, a term part a ``Term``) and formed in the active session or
 the template (``_want``), then the rest, so a constructed Term is
-well-typed by construction.  It then fills the node's fields and caches in
-one ``__dict__.update``; flags that are the same for every node of a class
-are class attributes.  Three node kinds go beyond the simply typed lambda
-calculus:
+well-typed by construction.  It then stores the node's fields and caches
+in its ``__dict__``; flags that are the same for every node of a class are
+class attributes.  ``Application`` and ``Abstraction``, the nodes built
+most, make ``_want``'s tests inline and call it only to raise.  Three node
+kinds go beyond the simply typed lambda calculus:
 
 * ``Quotation`` wraps a term and denotes that term's syntax tree.  Its body
   must not contain an evaluation except inside a hole — quoting a term whose
@@ -282,10 +284,10 @@ class Term:
     #   _serial          -- the serial of the session the node was formed in
 
     def __new__(cls, *parts):
-        key = (cls, parts)
         s = session._current or session.current()  # the call only before any reset
+        table = s.terms[cls]
         try:
-            t = s.terms.get(key)
+            t = table.get(parts)
         except TypeError:  # an unhashable part: formation below refuses it
             t = None
         if t is None:
@@ -296,7 +298,7 @@ class Term:
             d["_parts"] = parts
             d["_serial"] = s.serial
             t.__post_init__()
-            s.terms[key] = t
+            table[parts] = t
         return t
 
     def __setattr__(self, name, value):
@@ -390,26 +392,32 @@ class Application(Term):
     _fields = ("fn", "arg")
 
     def __post_init__(self):
+        # _want's and is_fun's tests made inline; _want is called only to raise
         fn, arg = self._parts
-        _want(self, fn, Term)
-        _want(self, arg, Term)
+        serial, template = self._serial, session.template_serial
+        if not (isinstance(fn, Term) and (fn._serial == serial or fn._serial == template)):
+            _want(self, fn, Term)
+        if not (isinstance(arg, Term) and (arg._serial == serial or arg._serial == template)):
+            _want(self, arg, Term)
         fty = fn.ty
-        if not is_fun(fty):
+        if type(fty) is not TypeApplication or fty.constructor != "fun":
             raise IllTyped(f"operator is not function-typed: {fty!r}")
         dom, cod = fty.arguments
-        if dom != arg.ty:
+        if dom is not arg.ty:
             raise IllTyped(
                 f"operand type {arg.ty!r} does not match operator domain {dom!r}"
             )
-        self.__dict__.update(
-            fn=fn,
-            arg=arg,
-            ty=cod,
-            eval_free=fn.eval_free and arg.eval_free,
-            ef_outside_holes=fn.ef_outside_holes and arg.ef_outside_holes,
-            has_hole=fn.has_hole or arg.has_hole,
-            has_naked_hole=fn.has_naked_hole or arg.has_naked_hole,
-            _fv=_union(_frees(fn), _frees(arg)),
+        a, b = fn._fv, arg._fv
+        d = self.__dict__
+        d["fn"] = fn
+        d["arg"] = arg
+        d["ty"] = cod
+        d["eval_free"] = fn.eval_free and arg.eval_free
+        d["ef_outside_holes"] = fn.ef_outside_holes and arg.ef_outside_holes
+        d["has_hole"] = fn.has_hole or arg.has_hole
+        d["has_naked_hole"] = fn.has_naked_hole or arg.has_naked_hole
+        d["_fv"] = _union(
+            frozenset((fn,)) if a is None else a, frozenset((arg,)) if b is None else b
         )
 
 
@@ -418,23 +426,27 @@ class Abstraction(Term):
 
     def __post_init__(self):
         var, body = self._parts
-        _want(self, body, Term)
+        serial, template = self._serial, session.template_serial
+        if not (isinstance(body, Term) and (body._serial == serial or body._serial == template)):
+            _want(self, body, Term)
         if not isinstance(var, Variable):
             raise NotAVariable("abstraction binder must be a Variable")
-        _want(self, var, Variable)  # formed in this session
-        fv = _frees(body)
+        if var._serial != serial and var._serial != template:
+            _want(self, var, Variable)  # formed in another session
+        fv = body._fv
+        if fv is None:
+            fv = frozenset((body,))
         if var in fv:
             fv = fv - frozenset((var,))
-        self.__dict__.update(
-            var=var,
-            body=body,
-            ty=mk_fun(var.ty, body.ty),
-            eval_free=body.eval_free,
-            ef_outside_holes=body.ef_outside_holes,
-            has_hole=body.has_hole,
-            has_naked_hole=body.has_naked_hole,
-            _fv=fv,
-        )
+        d = self.__dict__
+        d["var"] = var
+        d["body"] = body
+        d["ty"] = mk_fun(var.ty, body.ty)
+        d["eval_free"] = body.eval_free
+        d["ef_outside_holes"] = body.ef_outside_holes
+        d["has_hole"] = body.has_hole
+        d["has_naked_hole"] = body.has_naked_hole
+        d["_fv"] = fv
 
 
 class Quotation(Term):

@@ -205,6 +205,30 @@ def test_an_error_in_a_long_text_quotes_its_start_only(tmp_path):
     assert len(run.stderr.encode()) - len(path) < 200
 
 
+def test_the_binder_probe_checks_at_400_binders(tmp_path, monkeypatch):
+    # fresh processes, as users run them: substitution under 400 binders fits
+    # the default recursion limit, and at 500 the reader refuses line 1
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench"))
+    import workloads
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cqe.__file__)))
+    for n in (400, 500):
+        path = write(tmp_path, workloads.probe_binders(n).text)
+        run = subprocess.run(
+            [sys.executable, "-m", "cqe.cli", "check", path],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        if n == 400:
+            assert run.returncode == 0 and run.stderr == "", run.stderr[-300:]
+            assert run.stdout.endswith("ok: 5 commands, 1 checks\n")
+        else:
+            assert run.returncode == 1 and run.stdout == ""
+            assert run.stderr.startswith(f"{path}:1: error: in `!x1:num. !x2:num.")
+            assert run.stderr.endswith("`: input is nested too deeply\n")
+
+
 def test_nested_parentheses_within_the_depth_limit_check(tmp_path, capsys):
     term = "(" * 400 + "T" + ")" * 400
     path = write(tmp_path, f"thm r := (REFL `{term}`)\ncheck r matches `T = T`\n")

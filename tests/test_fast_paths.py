@@ -5,10 +5,13 @@ The reference oracles below are that code: the lexer's loop over one
 regular-expression match per token, with a group for keywords (and a
 search back for each ``)``'s open parenthesis); the
 foreign-node guard ``syntax._interned`` as an intern-table lookup;
+``Application`` and ``Abstraction`` formation through ``_want``,
+``is_fun`` and ``_frees``, interned in one flat ``(class, parts)`` table;
 ``kernel._vsubst`` recursing into every part of an application; the
 s-expression reader over match objects; and ``cli._strip_comment``'s
-character loop.  The tests compare each with its replacement, and pin what
-the session's read memo must keep: an entry never outlives the signature
+character loop.  The tests compare each with its replacement (formation
+also on refusals, and on leaving the template's tables as they were), and
+pin what the session's read memo must keep: an entry never outlives the signature
 it was read under, nor its session, a group is kept only when it reads no
 name from outside itself, and a group read from the memo reads as a fresh
 read of it does.  A refused text gets no entry, and raises the same error
@@ -24,7 +27,15 @@ from pathlib import Path
 import pytest
 
 from cqe import cli, frontend, kernel, session
-from cqe.errors import CqeError, ElaborationError, IllTyped, KernelError, ParseError, SourceSpan
+from cqe.errors import (
+    CqeError,
+    ElaborationError,
+    IllTyped,
+    KernelError,
+    NotAVariable,
+    ParseError,
+    SourceSpan,
+)
 from cqe.frontend import (
     _lex,
     _linecol,
@@ -49,9 +60,14 @@ from cqe.syntax import (
     Term,
     TypeVariable,
     Variable,
+    _frees,
     _interned,
+    _union,
+    _want,
     bool_ty,
+    is_fun,
     map_holes,
+    mk_fun,
     num_ty,
     subterms,
     variables_in,
@@ -113,9 +129,66 @@ def lex_reference(text):
 def interned_reference(node):
     s = session.current()
     if isinstance(node, Term):
-        return s.terms.get((type(node), node._parts)) is node
+        return s.terms[type(node)].get(node._parts) is node
     key = node.name if type(node) is TypeVariable else (node.constructor, node.arguments)
     return s.types.get(key) is node
+
+
+def application_reference(node):
+    fn, arg = node._parts
+    _want(node, fn, Term)
+    _want(node, arg, Term)
+    fty = fn.ty
+    if not is_fun(fty):
+        raise IllTyped(f"operator is not function-typed: {fty!r}")
+    dom, cod = fty.arguments
+    if dom != arg.ty:
+        raise IllTyped(f"operand type {arg.ty!r} does not match operator domain {dom!r}")
+    node.__dict__.update(
+        fn=fn,
+        arg=arg,
+        ty=cod,
+        eval_free=fn.eval_free and arg.eval_free,
+        ef_outside_holes=fn.ef_outside_holes and arg.ef_outside_holes,
+        has_hole=fn.has_hole or arg.has_hole,
+        has_naked_hole=fn.has_naked_hole or arg.has_naked_hole,
+        _fv=_union(_frees(fn), _frees(arg)),
+    )
+
+
+def abstraction_reference(node):
+    var, body = node._parts
+    _want(node, body, Term)
+    if not isinstance(var, Variable):
+        raise NotAVariable("abstraction binder must be a Variable")
+    _want(node, var, Variable)
+    fv = _frees(body)
+    if var in fv:
+        fv = fv - frozenset((var,))
+    node.__dict__.update(
+        var=var,
+        body=body,
+        ty=mk_fun(var.ty, body.ty),
+        eval_free=body.eval_free,
+        ef_outside_holes=body.ef_outside_holes,
+        has_hole=body.has_hole,
+        has_naked_hole=body.has_naked_hole,
+        _fv=fv,
+    )
+
+
+def form_reference(table, cls, *parts):
+    """``cls(*parts)`` interned in one flat ``(cls, parts)`` table, through the
+    reference bodies above for Application and Abstraction."""
+    key = (cls, parts)
+    t = table.get(key)
+    if t is None:
+        t = object.__new__(cls)
+        t.__dict__.update(_parts=parts, _serial=session.current().serial)
+        post_init = {Application: application_reference, Abstraction: abstraction_reference}
+        post_init.get(cls, cls.__post_init__)(t)
+        table[key] = t
+    return t
 
 
 def vsubst_reference(t, theta, registry, used):
@@ -294,7 +367,8 @@ def _nodes(t):
 
 def test_interned_agrees_with_the_table_lookup():
     template = session._build_template()
-    from_template = list(template.terms.values()) + list(template.types.values())
+    from_template = [t for table in template.terms.values() for t in table.values()]
+    from_template += list(template.types.values())
     gen = TermGen(31, evals=True, holes=True)
     discarded = [n for _ in range(30) for n in _nodes(gen.term(depth=4))]
     session.reset()
@@ -319,6 +393,93 @@ def test_a_discarded_node_is_still_refused():
         Abstraction(x_old, x)
     with pytest.raises(KernelError, match="a term was formed in another session"):
         ASSUME(x_old)
+
+
+_CACHES = ("eval_free", "ef_outside_holes", "has_hole", "has_naked_hole")
+
+
+def test_formation_agrees_with_the_reference():
+    counts = {Application: 0, Abstraction: 0}
+    for seed in range(40):
+        session.reset()
+        gen = TermGen(seed, evals=True, holes=True)
+        terms = [gen.term(depth=4) for _ in range(12)]
+        # every node again through the reference, parts first, in a universe
+        # of its own: mirror and back map the two universes' nodes
+        table, mirror, back = {}, {}, {}
+
+        def ref(m):
+            r = mirror.get(id(m))
+            if r is None:
+                parts = (ref(p) if isinstance(p, Term) else p for p in m._parts)
+                r = mirror[id(m)] = form_reference(table, type(m), *parts)
+                back[id(r)] = m
+            return r
+
+        for t in terms:
+            ref(t)
+        # interning agrees: distinct structures are distinct nodes in both
+        assert len(table) == len(mirror) == len(back)
+        for m_id, r in mirror.items():
+            m = back[id(r)]
+            assert id(m) == m_id and r.ty is m.ty, m
+            assert [getattr(r, c) for c in _CACHES] == [getattr(m, c) for c in _CACHES], m
+            if r._fv is None:
+                assert m._fv is None
+            else:
+                assert {back[id(v)] for v in r._fv} == m._fv, m
+            counts[type(m)] = counts.get(type(m), 0) + 1
+    assert counts[Application] >= 1000 and counts[Abstraction] >= 200, counts
+
+
+def test_formation_refuses_as_the_reference_does():
+    n, b = num_ty(), bool_ty()
+    x_old = Variable("x", n)  # from a discarded session
+    f_old = Variable("f", mk_fun(n, b))
+    session.reset()
+    x, p = Variable("x", n), Variable("p", b)
+    f = Variable("f", mk_fun(n, b))
+    g = Variable("g", TypeVariable("'a"))
+    cases = [
+        (Application, (5, x)),  # a part that is not a Term
+        (Application, (f, "x")),
+        (Application, (f, x_old)),  # a part from a discarded session
+        (Application, (f_old, x)),
+        (Application, (p, x)),  # an operator that is not a function
+        (Application, (g, x)),
+        (Application, (f, p)),  # a domain mismatch
+        (Application, (5, p)),  # two faults: the first part's is reported
+        (Abstraction, (x, 5)),
+        (Abstraction, (x, x_old)),
+        (Abstraction, (Constant("T", b), x)),  # a binder that is not a Variable
+        (Abstraction, (Application(f, x), x)),
+        (Abstraction, (x_old, p)),  # a binder from another session
+        (Abstraction, (7, "junk")),
+    ]
+    terms = session.current().terms
+    size = sum(len(table) for table in terms.values())
+    for cls, parts in cases:
+        with pytest.raises(KernelError) as want:
+            form_reference({}, cls, *parts)
+        with pytest.raises(KernelError) as got:
+            cls(*parts)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+    assert sum(len(table) for table in terms.values()) == size
+
+
+def test_forming_nodes_leaves_the_template_tables_unchanged():
+    template = session._build_template()
+    before = {cls: dict(table) for cls, table in template.terms.items()}
+    s = session.reset()
+    gen = TermGen(5, evals=True, holes=True)
+    for _ in range(40):
+        gen.term(depth=4)
+    assert sum(map(len, s.terms.values())) > sum(map(len, before.values()))
+    assert template.terms.keys() == before.keys()
+    for cls, table in template.terms.items():
+        assert s.terms[cls] is not table
+        assert table.keys() == before[cls].keys()
+        assert all(table[k] is t for k, t in before[cls].items())
 
 
 # ---------------------------------------------------------------------------

@@ -552,6 +552,72 @@ def test_spec_at_an_abstraction_makes_few_kernel_rule_applications(monkeypatch):
     assert len(calls) <= 8, calls
 
 
+# Reference oracles: SPEC and GEN taking INST_TYPE of their support theorem
+# on every call, as they did before the per-session memo of typed support
+# theorems (logic._typed_basis).
+
+
+def _spec_inst_every_call(t, th):
+    f = th.concl.arg
+    alpha = f.ty.arguments[0]
+    ft = Application(f, t)
+    pth = INST_TYPE(((TypeVariable("'A"), alpha),), session.current().basis["spec_elim"])
+    P, x = Variable("P", mk_fun(alpha, bool_ty())), Variable("x", alpha)
+    pth = PROVE_HYP(th, INST(((P, f), (x, t)), pth))
+    return EQ_MP(BETA_CONV(ft), pth) if isinstance(f, Abstraction) else pth
+
+
+def _gen_inst_every_call(x, th):
+    ath = ABS(x, EQT_INTRO(th))
+    pth = INST_TYPE(((TypeVariable("'A"), x.ty),), session.current().basis["gen"])
+    lam = Abstraction(x, th.concl)
+    pth = INST(((Variable("P", mk_fun(x.ty, bool_ty())), lam),), pth)
+    return EQ_MP(pth, ath)
+
+
+def test_spec_and_gen_take_inst_type_once_per_session(monkeypatch):
+    calls = []
+
+    def counted(pairs, th):
+        calls.append(th)
+        return INST_TYPE(pairs, th)
+
+    monkeypatch.setattr(logic, "INST_TYPE", counted)
+    for _ in range(2):  # the memo does not outlive reset()
+        s = session.reset()
+        a = TypeVariable("'memo")  # a type the bootstrap never specialises at
+        assert ("spec_elim", a) not in s.basis and ("gen", a) not in s.basis
+        calls.clear()
+        xs = [Variable(f"m{i}", a) for i in range(4)]
+        th = REFL(xs[0])
+        for x in xs:
+            th = _same(GEN, _gen_inst_every_call, x, th)
+        for x in reversed(xs):
+            th = _same(SPEC, _spec_inst_every_call, Variable("y", a), th)
+        assert th.concl is mk_eq(Variable("y", a), Variable("y", a))
+        assert [c is s.basis["gen"] for c in calls] == [True, False]
+        assert calls[1] is s.basis["spec_elim"]
+
+
+def test_spec_and_gen_agree_with_inst_type_on_every_call():
+    checked = 0
+    for seed in range(40):
+        session.reset()
+        gen = TermGen(seed, evals=seed % 2 == 1)
+        body = gen.term(bool_ty(), depth=3)
+        frees = sorted(_frees(body), key=lambda v: v.name)
+        xs = (frees + [gen.var(gen.type(1)) for _ in range(3)])[: 1 + seed % 3]
+        th = REFL(body)
+        for x in reversed(xs):  # the memo is warm from the second call at a type on
+            th = _same(GEN, _gen_inst_every_call, x, th)
+        th = ASSUME(th.concl)
+        for _ in range(2):
+            for x in xs:
+                out = _same(SPEC, _spec_inst_every_call, gen.term(x.ty, depth=2), th)
+                checked += not isinstance(out, type)
+    assert checked >= 60
+
+
 # Reference oracles: BETA_EVAL, VAR_DISQUO, CONST_DISQUO and the dispatching
 # DISQUO as they were when all four were kernel primitives.
 

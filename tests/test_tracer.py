@@ -38,17 +38,18 @@ def test_nodes_built_counts_each_node_a_script_adds(monkeypatch):
 
     from cqe import cli, session
 
-    def type_applications(s):
-        return sum(type(ty) is syntax.TypeApplication for ty in s.types.values())
+    def nodes(s):  # every term, and every type but the type variables
+        terms = sum(len(table) for table in s.terms.values())
+        return terms + sum(type(ty) is syntax.TypeApplication for ty in s.types.values())
 
     text = (BENCH.parent / "src" / "cqe" / "scripts" / "lem_instance.cqe").read_text()
     s = session.reset()
-    terms, types = len(s.terms), type_applications(s)
+    before = nodes(s)
     tr = tracer.Tracer()
     tr.install()
     try:
         cli.Runner(quiet=True).run_text(text)
     finally:
         tr.uninstall()
-    added = len(s.terms) - terms + type_applications(s) - types
+    added = nodes(s) - before
     assert tr.nodes_built == added > 0
