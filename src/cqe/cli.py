@@ -449,8 +449,6 @@ def _cmd_repl(args) -> int:
             runner.command(line, n)
         except ScriptError as e:
             runner.emit(runner._paint(f"error: {e}", "31"))
-        except CqeError as e:
-            runner.emit(runner._paint(f"error: {type(e).__name__}: {e}", "31"))
     return 0
 
 

@@ -26,6 +26,13 @@ conditions it would need rather than guessing.  Substitution into an
 evaluation is never performed at all; the redex is kept suspended so the
 equation can be discharged by inference later.
 
+Each walk visits each distinct subterm once per call.  Nodes are interned and
+a result depends only on the node, the substitution and the registry, which
+no call changes, so a memo keyed by node is exact.  ``_vsubst`` keeps one per
+substitution the call makes (``tables``, keyed by its pairs in order), and
+``_inst_type`` keeps each term's image in its ``env``, beside the instances of
+the type variables.
+
 Each check has one home.  Formation (:mod:`cqe.syntax`) makes every term
 well-typed: each part is of its field's kind, a binder is a variable, an
 operand fits its operator's domain.  ``_thm`` alone checks that a conclusion
@@ -339,12 +346,12 @@ def vsubst(pairs, t: Term, used=None) -> Term:
     theta = {x: tm for x, tm in theta.items() if tm != x}
     if not theta:
         return t
-    if used is None:
-        used = []
-    return _vsubst(t, theta, session.current().nei_registry, used)
+    memo = {}
+    registry, tables = session.current().nei_registry, {tuple(theta.items()): memo}
+    return _vsubst(t, theta, memo, registry, [] if used is None else used, tables)
 
 
-def _vsubst(t: Term, theta: dict, registry, used) -> Term:
+def _vsubst(t: Term, theta: dict, memo, registry, used, tables) -> Term:
     if isinstance(t, Variable):
         return theta.get(t, t)
     # An eval-free term whose free-variable set misses every substituted
@@ -352,44 +359,40 @@ def _vsubst(t: Term, theta: dict, registry, used) -> Term:
     # still suspends there or asks the registry.
     if t.eval_free and theta.keys().isdisjoint(t._fv):
         return t
-    if isinstance(t, Application):
-        # the same tests, made on each part before recursing into it
-        fn, arg = t.fn, t.arg
-        if type(fn) is Variable:
-            fn = theta.get(fn, fn)
-        elif not (fn.eval_free and theta.keys().isdisjoint(fn._fv)):
-            fn = _vsubst(fn, theta, registry, used)
-        if type(arg) is Variable:
-            arg = theta.get(arg, arg)
-        elif not (arg.eval_free and theta.keys().isdisjoint(arg._fv)):
-            # a binder operand (the body of !, ? and \x. forms) skips a frame
-            if type(arg) is Abstraction:
-                arg = _vsubst_abs(arg, theta, registry, used)
-            else:
-                arg = _vsubst(arg, theta, registry, used)
-        return t if fn is t.fn and arg is t.arg else Application(fn, arg)
     if isinstance(t, Abstraction):
-        return _vsubst_abs(t, theta, registry, used)
-    if isinstance(t, Quotation):
+        return _vsubst_abs(t, theta, memo, registry, used, tables)
+    if t in memo:
+        return memo[t]
+    if isinstance(t, Application):
+        fn = _vsubst(t.fn, theta, memo, registry, used, tables)
+        # a binder operand (the body of !, ? and \x. forms) skips a frame
+        walk = _vsubst_abs if type(t.arg) is Abstraction else _vsubst
+        arg = walk(t.arg, theta, memo, registry, used, tables)
+        out = t if fn is t.fn and arg is t.arg else Application(fn, arg)
+    elif isinstance(t, Quotation):
         # Quoted syntax is a fixed value and its binders bind nothing in the
         # live hole contents, so substitution reaches only the holes and
         # capture is impossible.
-        body = map_holes(t.body, _vsubst, theta, registry, used)
-        return t if body is t.body else Quotation(body)
-    if isinstance(t, Hole):
-        c = _vsubst(t.content, theta, registry, used)
-        return t if c is t.content else Hole(c, t.slot_type)
-    return _vsubst_eval(t, theta, registry, used)  # an Evaluation
+        body = map_holes(t.body, _vsubst, theta, memo, registry, used, tables)
+        out = t if body is t.body else Quotation(body)
+    elif isinstance(t, Hole):
+        c = _vsubst(t.content, theta, memo, registry, used, tables)
+        out = t if c is t.content else Hole(c, t.slot_type)
+    else:
+        out = _vsubst_eval(t, theta)  # an Evaluation
+    memo[t] = out
+    return out
 
 
-def _vsubst_abs(t: Abstraction, theta: dict, registry, used) -> Term:
+def _vsubst_abs(t: Abstraction, theta: dict, memo, registry, used, tables) -> Term:
+    if t in memo:
+        return memo[t]
     y, s = t.var, t.body
-    live = {x: tm for x, tm in theta.items() if x != y}
-    if not live:
-        return t
     keep = {}
     problematic = []
-    for x, tm in live.items():
+    for x, tm in theta.items():
+        if x == y:
+            continue
         # Is the binding a no-op on the body?  Syntactic absence decides only
         # for eval-free bodies; otherwise a proved not-effective fact does.
         if s.eval_free:
@@ -411,45 +414,37 @@ def _vsubst_abs(t: Abstraction, theta: dict, registry, used) -> Term:
             keep[x] = tm
             continue
         problematic.append((x, tm))
-    if not keep and not problematic:
-        return t
     if problematic:
-        renamable = s.eval_free and all(
-            tm.eval_free for tm in keep.values()
-        ) and all(tm.eval_free for _, tm in problematic)
-        if renamable:
-            avoid = set(variables_in(s)) | {y}
-            for x, tm in live.items():
-                avoid |= _frees(tm)
-                avoid.add(x)
-            y2 = fresh_variant(y, avoid)
-            s2 = _vsubst(s, {y: y2}, registry, used)
-            rest = dict(keep)
-            rest.update(problematic)
-            return Abstraction(y2, _vsubst(s2, rest, registry, used))
-        conds = []
-        for x, tm in problematic:
-            conds.append((y, tm))
-            conds.append((x, s))
-        raise SubstitutionBlocked(
-            "substitution under a binder needs a not-effective fact "
-            "for: " + "; ".join(f"({v.name}, {u!r})" for v, u in conds),
-            needed=conds,
-        )
-    body = _vsubst(s, keep, registry, used)
-    return t if body is s else Abstraction(y, body)
+        keep.update(problematic)
+        if not (s.eval_free and all(tm.eval_free for tm in keep.values())):
+            conds = [c for x, tm in problematic for c in ((y, tm), (x, s))]
+            raise SubstitutionBlocked(
+                "substitution under a binder needs a not-effective fact "
+                "for: " + "; ".join(f"({v.name}, {u!r})" for v, u in conds),
+                needed=conds,
+            )
+        frees = (_frees(tm) for x, tm in theta.items() if x != y)
+        y2 = fresh_variant(y, variables_in(s).union((y,), theta, *frees))
+        s2 = _vsubst(s, {y: y2}, tables.setdefault(((y, y2),), {}), registry, used, tables)
+        sub = tables.setdefault(tuple(keep.items()), {})
+        out = Abstraction(y2, _vsubst(s2, keep, sub, registry, used, tables))
+    elif keep:
+        # keep is theta, in theta's order, less the pairs it dropped
+        sub = memo if len(keep) == len(theta) else tables.setdefault(tuple(keep.items()), {})
+        body = _vsubst(s, keep, sub, registry, used, tables)
+        out = t if body is s else Abstraction(y, body)
+    else:
+        out = t
+    memo[t] = out
+    return out
 
 
-def _vsubst_eval(t: Evaluation, theta: dict, registry, used) -> Term:
+def _vsubst_eval(t: Evaluation, theta: dict) -> Term:
     # Substitution never enters an evaluation: the represented term is only
     # known once the content is computed, so the substitution is suspended as
     # an explicit redex for the inference rules to discharge.
-    items = list(theta.items())
-    if len(items) == 1:
-        x, tm = items[0]
-        return Application(Abstraction(x, t), tm)
     order = []
-    remaining = items
+    remaining = list(theta.items())
     while remaining:
         pick = None
         for i, (x, tm) in enumerate(remaining):
@@ -496,12 +491,12 @@ def inst_type(pairs, t: Term) -> Term:
 
 
 def _inst_type(t: Term, env: dict) -> Term:
+    if t in env:
+        return env[t]
     if isinstance(t, Abstraction):
         y = t.var
         y2 = _inst_type(y, env)
-        clash = any(
-            v != y and _inst_type(v, env) == y2 for v in _frees(t.body)
-        )
+        clash = any(v != y and _inst_type(v, env) == y2 for v in _frees(t.body))
         if clash:
             if not t.body.eval_free:
                 raise VariableCollision(
@@ -510,21 +505,25 @@ def _inst_type(t: Term, env: dict) -> Term:
                 )
             yr = fresh_variant(y, variables_in(t.body))
             body = vsubst(((y, yr),), t.body)
-            return _inst_type(Abstraction(yr, body), env)
-        body = _inst_type(t.body, env)
-        return t if y2 is y and body is t.body else Abstraction(y2, body)
-    if isinstance(t, Quotation):
+            out = _inst_type(Abstraction(yr, body), env)
+        else:
+            body = _inst_type(t.body, env)
+            out = t if y2 is y and body is t.body else Abstraction(y2, body)
+    elif isinstance(t, Quotation):
         # A quotation is a literal: its value names one fixed expression, so
         # there is nothing type-generic inside to instantiate.  Rather than
         # silently produce a different literal, refuse.
-        touched = type_variables_in_term(t) & set(env)
+        touched = env.keys() & type_variables_in_term(t)
         if touched:
             names = ", ".join(sorted(map(repr, touched)))
             raise QuotationTypePolymorphism(
                 f"type instantiation of {names} would alter a quotation"
             )
-        return t
-    return map_parts(t, _inst_type, subst_type, env)
+        out = t
+    else:
+        out = map_parts(t, _inst_type, subst_type, env)
+    env[t] = out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -607,6 +606,7 @@ def DEDUCT_ANTISYM(th1: Theorem, th2: Theorem) -> Theorem:
 
 
 def INST(pairs, th: Theorem) -> Theorem:
+    pairs = tuple(pairs.items() if isinstance(pairs, dict) else pairs)  # read once for all terms
     used = []
     concl = vsubst(pairs, th.concl, used)
     hyps = [vsubst(pairs, h, used) for h in th.hyps]
@@ -614,6 +614,7 @@ def INST(pairs, th: Theorem) -> Theorem:
 
 
 def INST_TYPE(pairs, th: Theorem) -> Theorem:
+    pairs = tuple(pairs.items() if isinstance(pairs, dict) else pairs)  # read once for all terms
     concl = inst_type(pairs, th.concl)
     hyps = [inst_type(pairs, h) for h in th.hyps]
     return _thm(hyps, concl, th)

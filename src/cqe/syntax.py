@@ -508,11 +508,7 @@ class Evaluation(Term):
 
 def subterms(t: Term) -> list:
     """The Term parts of t, in field order."""
-    out = []
-    for p in t._parts:
-        if isinstance(p, Term):
-            out.append(p)
-    return out
+    return [p for p in t._parts if isinstance(p, Term)]
 
 
 def map_parts(t: Term, on_term, on_type, *args) -> Term:
@@ -603,14 +599,20 @@ def free_variables(t: Term) -> frozenset:
     return _frees(t)
 
 
+def _nodes(t: Term) -> set:
+    """Every distinct node of t, quoted ones and hole contents included."""
+    seen, stack = {t}, [t]
+    while stack:
+        for p in stack.pop()._parts:
+            if isinstance(p, Term) and p not in seen:
+                seen.add(p)
+                stack.append(p)
+    return seen
+
+
 def variables_in(t: Term) -> frozenset:
     """Every variable occurring anywhere in t (bound, free, or quoted)."""
-    if isinstance(t, Variable):
-        return frozenset((t,))
-    out = frozenset()
-    for s in subterms(t):
-        out |= variables_in(s)
-    return out
+    return frozenset(s for s in _nodes(t) if isinstance(s, Variable))
 
 
 def fresh_variant(x: Variable, avoid) -> Variable:
@@ -627,13 +629,9 @@ def fresh_variant(x: Variable, avoid) -> Variable:
 
 
 def type_variables_in_term(t: Term) -> frozenset:
-    out = frozenset()
-    for p in t._parts:
-        if isinstance(p, Term):
-            out |= type_variables_in_term(p)
-        elif isinstance(p, HolType):
-            out |= type_variables_in(p)
-    return out
+    return frozenset().union(
+        *(type_variables_in(p) for s in _nodes(t) for p in s._parts if isinstance(p, HolType))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Guard mutation audit: is every ``raise`` in the trusted core load-bearing?
 
-For each ``raise`` statement in ``kernel``, ``syntax``, ``constructions`` and
-``logic`` (found by AST), this script builds a mutant whose only change is
+For each ``raise`` statement in ``kernel``, ``syntax``, ``constructions``,
+``logic``, ``frontend`` and ``cli`` (found by AST), this script builds a
+mutant whose only change is
 that statement replaced by ``pass``, in a temporary copy of the checkout,
 and runs the tier-1 suite on it with ``-x``.  A mutant whose suite fails is
 killed; one whose suite does not finish within the per-run timeout counts as
@@ -19,7 +20,7 @@ Run it from anywhere (stdlib only; pytest must be importable):
     python tests/mutate_guards.py
 
 It runs one suite per CPU at a time, each for at most ``TIMEOUT`` seconds,
-and takes about ten minutes on two cores.  The checkout itself is never
+and takes about fifteen minutes on two cores.  The checkout itself is never
 modified.
 """
 
@@ -37,7 +38,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cqe"
-MODULES = ("kernel", "syntax", "constructions", "logic")
+MODULES = ("kernel", "syntax", "constructions", "logic", "frontend", "cli")
 ALLOWLIST = Path(__file__).resolve().parent / "mutate_guards_allowlist.txt"
 # what the suite reads besides the package: the README (a docs test) and the
 # benchmark tracer (a tracer test)

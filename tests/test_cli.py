@@ -168,6 +168,13 @@ def test_failed_check_is_exit_1(tmp_path, capsys):
     assert "error" in err and ":2:" in err
 
 
+def test_check_refuses_a_theorem_with_hypotheses(tmp_path, capsys):
+    path = write(tmp_path, "thm a := (ASSUME `p:bool`)\ncheck a matches `p:bool`\n")
+    assert main(["check", path]) == 1
+    err = capsys.readouterr().err
+    assert err == f"{path}:2: error: check a: theorem still has hypotheses: p:bool |- p:bool\n"
+
+
 def test_parse_error_reports_line(tmp_path, capsys):
     path = write(tmp_path, "thm r := (REFL `T /\\`)\n")
     assert main(["check", path]) == 1
@@ -227,6 +234,17 @@ def test_the_binder_probe_checks_at_400_binders(tmp_path, monkeypatch):
             assert run.returncode == 1 and run.stdout == ""
             assert run.stderr.startswith(f"{path}:1: error: in `!x1:num. !x2:num.")
             assert run.stderr.endswith("`: input is nested too deeply\n")
+
+
+def test_a_theorem_nested_too_deeply_by_rules_is_a_typed_error(tmp_path, capsys):
+    # each line puts the theorem under one more binder; no text is deep, but
+    # substitution under some 500 binders exceeds the recursion limit
+    lines = ["thm a0 := (ASSUME `p:bool`)"]
+    lines += [f"thm a{i} := (INST `p:bool` `!x:num. p` a{i - 1})" for i in range(1, 540)]
+    path = write(tmp_path, "\n".join(lines) + "\n")
+    assert main(["check", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and re.fullmatch(rf"{re.escape(path)}:\d+: error: input is nested too deeply\n", err)
 
 
 def test_nested_parentheses_within_the_depth_limit_check(tmp_path, capsys):
@@ -725,6 +743,15 @@ def test_repl_load(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", lines)
     assert main(["repl", "--load", script("lem.cqe")]) == 0
     assert "lem" in capsys.readouterr().out
+
+
+def test_repl_load_reports_an_error_and_keeps_what_came_before(tmp_path, monkeypatch, capsys):
+    path = write(tmp_path, "thm r := (REFL `T`)\nthm s := (SYM q)\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO(":thms\n:quit\n"))
+    assert main(["repl", "--load", path]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[2] == f"{path}:2: error: no theorem named 'q'"
+    assert "r" in out[3:] and "s" not in out[3:]
 
 
 # ---------------------------------------------------------------------------

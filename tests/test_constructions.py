@@ -31,7 +31,7 @@ from cqe.errors import (
     NotEvalFree,
     UnsupportedArity,
 )
-from cqe.kernel import new_constant
+from cqe.kernel import LAW_OF_QUO, mk_eq, new_constant
 from cqe.syntax import (
     Abstraction,
     Application,
@@ -109,6 +109,12 @@ def test_frozen_encoding_of_a_variable():
         Application(constructor_constant("TyBase"), name_literal("bool")),
     )
     assert enc == expected
+
+
+def test_frozen_encoding_of_a_type_variable():
+    x = Variable("x", TypeVariable("'A"))
+    enc = _ap("QuoVar", name_literal("x"), _ap("TyVar", name_literal("'A")))
+    assert LAW_OF_QUO(Quotation(x)).concl == mk_eq(Quotation(x), enc)
 
 
 def test_frozen_encoding_of_an_application():
@@ -357,6 +363,8 @@ def test_is_free_in_meta_basics():
     tru = oracle_term(Constant("T", bool_ty()))
     with pytest.raises(NotAVariable, match="denotes no variable"):
         is_free_in_meta(_ap("App", tru, tru), oracle_term(x))
+    # an improper second argument denotes no term, so x is free in none
+    assert not is_free_in_meta(xq, _ap("App", tru, tru))
 
 
 def test_is_free_in_meta_sees_through_inner_quotations():

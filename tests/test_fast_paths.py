@@ -7,7 +7,8 @@ search back for each ``)``'s open parenthesis); the
 foreign-node guard ``syntax._interned`` as an intern-table lookup;
 ``Application`` and ``Abstraction`` formation through ``_want``,
 ``is_fun`` and ``_frees``, interned in one flat ``(class, parts)`` table;
-``kernel._vsubst`` recursing into every part of an application; the
+substitution with no memo, recursing into every part of an application
+(``tree_walks``' binder and evaluation steps); the
 s-expression reader over match objects; and ``cli._strip_comment``'s
 character loop.  The tests compare each with its replacement (formation
 also on refusals, and on leaving the template's tables as they were), and
@@ -26,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from cqe import cli, frontend, kernel, session
+from cqe import cli, frontend, session
 from cqe.errors import (
     CqeError,
     ElaborationError,
@@ -74,6 +75,7 @@ from cqe.syntax import (
 )
 
 import fuzz_reader
+import tree_walks
 from genterms import TermGen
 
 TESTS = Path(__file__).resolve().parent
@@ -201,14 +203,14 @@ def vsubst_reference(t, theta, registry, used):
         arg = vsubst_reference(t.arg, theta, registry, used)
         return t if fn is t.fn and arg is t.arg else Application(fn, arg)
     if isinstance(t, Abstraction):
-        return kernel._vsubst_abs(t, theta, registry, used)
+        return tree_walks._vsubst_abs(t, theta, registry, used)
     if isinstance(t, Quotation):
         body = map_holes(t.body, vsubst_reference, theta, registry, used)
         return t if body is t.body else Quotation(body)
     if isinstance(t, Hole):
         c = vsubst_reference(t.content, theta, registry, used)
         return t if c is t.content else Hole(c, t.slot_type)
-    return kernel._vsubst_eval(t, theta, registry, used)
+    return tree_walks._vsubst_eval(t, theta, registry, used)
 
 
 _SEXP_TOKEN_REFERENCE = re.compile(r'''\s*(?:(\()|(\))|"([^"\\]*(?:\\.[^"\\]*)*)"|(")|(\S))''', re.S)
@@ -487,10 +489,10 @@ def test_forming_nodes_leaves_the_template_tables_unchanged():
 # ---------------------------------------------------------------------------
 
 
-def _subst_outcome(pairs, t):
+def _subst_outcome(pairs, t, subst=vsubst):
     used = []
     try:
-        return vsubst(pairs, t, used), used
+        return subst(pairs, t, used), used
     except CqeError as e:
         return type(e), used
 
@@ -509,10 +511,12 @@ def test_vsubst_agrees_with_recursing_into_every_part(monkeypatch):
             pairs = [(x, gen.term(x.ty, depth=1 + i % 3)) for x in xs]
             got, used = _subst_outcome(pairs, t)
             with monkeypatch.context() as m:
-                m.setattr(kernel, "_vsubst", vsubst_reference)
-                want, want_used = _subst_outcome(pairs, t)
+                m.setattr(tree_walks, "_vsubst", vsubst_reference)
+                want, want_used = _subst_outcome(pairs, t, tree_walks.vsubst)
             assert got is want, (t, pairs)
-            assert [id(u) for u in used] == [id(u) for u in want_used]
+            # each shared subterm is substituted once, so its facts are
+            # listed once: the same facts, in order of first consultation
+            assert [id(u) for u in dict.fromkeys(used)] == [id(u) for u in dict.fromkeys(want_used)]
             if isinstance(got, type):
                 outcomes["refused"] += 1
             else:

@@ -201,6 +201,15 @@ def test_type_annotation_conflicts():
         parse_term("T:num")
 
 
+def test_an_annotation_that_fails_against_an_inner_binder_binds_an_outer_one():
+    # x:(num->num) unifies with the inner x's type, (?->bool), part-way
+    # before it fails there; what it bound is undone, so y can still be bool
+    t = parse_term("\\x:(num->num). \\x. x y = T /\\ (x:(num->num)) _0 = _0 /\\ y = T")
+    assert t.body.var.ty == mk_fun(bool_ty(), bool_ty())
+    assert Variable("x", mk_fun(num_ty(), num_ty())) in t.body._fv
+    assert Variable("y", bool_ty()) in t._fv
+
+
 @pytest.mark.parametrize(
     "parse, text",
     [(parse_term, "x:foo"), (parse_term, "x:fun"), (parse_type, "foo")],
@@ -585,10 +594,20 @@ def test_tree_to_term_rejects_malformed_trees(tree):
     ids=["int-name", "empty-name", "nested"],
 )
 def test_tree_to_type_rejects_a_malformed_type_variable_name(tree):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="not a type variable name"):
         tree_to_type(tree)
     with pytest.raises(ParseError):
         tree_to_term(("var", "x", tree))
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [("tyapp", "bool", ()), ("tycon", "bool"), ("tyvar",), 5],
+    ids=["unknown-tag", "too-few-fields", "no-name", "not-a-tree"],
+)
+def test_tree_to_type_rejects_a_malformed_tree(tree):
+    with pytest.raises(ParseError, match="malformed type tree"):
+        tree_to_type(tree)
 
 
 def test_sexp_round_trip():

@@ -823,6 +823,34 @@ def test_arithmetic_convs_read_the_predicate_closed():
         assert conv(closed).concl == parse_term(f"{name} {print_term(closed)}")
 
 
+def test_arithmetic_verdicts_on_connectives_foreign_constants_and_ill_formed_trees():
+    def verdict(conv, text):
+        c = parse_term(text)
+        concl = conv(c).concl
+        name = "isPeano" if conv is IS_PEANO_CONV else "isPresburger"
+        stmt = Application(Constant(name, mk_fun(epsilon_ty(), bool_ty())), c)
+        assert concl in (stmt, mk_neg(stmt)), concl
+        return concl is stmt
+
+    assert verdict(IS_PEANO_CONV, "Q_ \\n:num. n = n /\\ ~(n = _0) _Q")
+    refuted = (
+        "Q_ \\n:num. T _Q",  # a constant outside the arithmetic signature
+        "Q_ \\n:num. (<=) n n _Q",
+        'QuoVar "n" (TyBase "num")',  # a term, but not a predicate
+        'App (QuoConst "SUC" (TyBase "num")) (QuoConst "_0" (TyBase "num"))',
+        # an ill-typed application denotes no term at all
+        'App (QuoConst "_0" (TyBase "num")) (QuoConst "_0" (TyBase "num"))',
+    )
+    for text in refuted:
+        assert not verdict(IS_PEANO_CONV, text), text
+    assert not verdict(IS_PRESBURGER_CONV, "Q_ \\n:num. (*) n n = n _Q")
+    # no predicate a construction denotes holds a node of another kind where
+    # a number or a truth value is read, so only a direct call reaches it
+    zero = Constant("_0", num_ty())
+    for t in (Quotation(zero), Evaluation(Quotation(zero), num_ty())):
+        assert not logic._arith_term_ok(t, True, frozenset())
+
+
 def test_predicate_type_facts_are_named_axioms():
     for name, pred in (("PEANO_PRED_TYPE", "isPeano"), ("PRESBURGER_PRED_TYPE", "isPresburger")):
         th = theorem(name)
